@@ -2,9 +2,10 @@
 
 transcripts.parquet
   -> explode_turns           (stateless map_batches; split+normalize)   [sentences]
-  -> TemplateParserActor     (actor-pool map_batches; warm parser)      [parses]
-  -> extract_triples         (stateless map_batches; rule cascade)      [triples]
-  -> link_entities           (broadcast gazetteer lookup)
+  -> template_parse          (stateless map_batches; distinct texts)    [parses]
+     | parser_cls            (actor-pool map_batches; warm model parser)
+  -> extract_linked          (stateless map_batches; rule cascade +     [triples]
+                              gazetteer linking once per distinct parse)
   -> aggregate_edges         (salted two-phase groupby)                 [edges]
   -> aggregate_entities      (groupby entity)                           [entities]
 
@@ -27,9 +28,9 @@ from __future__ import annotations
 import os
 
 from ..sources.synthetic import transcripts_dir_for_sf
-from ..stages.canonicalize import aggregate_edges, aggregate_entities, link_entities
-from ..stages.extract import extract_triples
-from ..stages.parse import TemplateParserActor
+from ..stages.canonicalize import aggregate_edges, aggregate_entities
+from ..stages.extract import extract_linked
+from ..stages.parse import template_parse
 from ..stages.preprocess import explode_turns
 from ..state.lineage import CheckpointStore, fingerprint_paths, parquet_files
 
@@ -95,9 +96,17 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     applied to the triples stream after entity linking (the §2.8
     stage-registration point).
 
+    ``parser_cls``: a model-backed parser actor class (e.g.
+    :class:`..stages.parse.DDParserActor`) run as an actor pool of
+    ``parse_concurrency`` actors (default: half the cluster's CPUs, at most
+    ``PARSE_CONCURRENCY``) with ``parse_num_gpus`` each.  Both apply only
+    with ``parser_cls``: the default template parser runs as stateless
+    tasks (:func:`..stages.parse.template_parse`).
+
     ``dedup_sort``: co-locate identical sentence texts before the parse
-    stage so per-worker parse/extract memos hit for every duplicate.  The
-    sort is a full exchange of the sentence stream — a measured win when
+    stage so each batch's distinct-text parse and the per-worker extract
+    memo hit for every duplicate.  The sort is a full exchange of the
+    sentence stream — a measured win when
     the corpus repeats heavily, a pure cost when it doesn't — so
     ``"auto"`` (default) decides from a sampled duplicate-rate probe
     (:func:`sampled_duplicate_rate` >= ``DEDUP_SORT_MIN_RATE``);
@@ -118,7 +127,7 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     if parse_concurrency is not None and parse_concurrency < 1:
         raise ValueError(f"parse_concurrency must be >= 1 or None, "
                          f"got {parse_concurrency!r}")
-    if parse_concurrency is None:
+    if parser_cls is not None and parse_concurrency is None:
         # leave headroom for the task operators feeding/draining the pool —
         # an actor pool sized to the whole cluster starves them (observed
         # stall at num_cpus=4 with 4 actors)
@@ -163,9 +172,10 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         return src.map_batches(explode_turns, batch_format="pyarrow")
 
     def _dedup_sort(src):
-        """Co-locate identical sentence texts (sort by text hash) so the
-        parser/extractor per-worker memos hit for every duplicate regardless
-        of pool width — the dedup-before-expensive-op exchange: one cheap
+        """Co-locate identical sentence texts (sort by text hash) so each
+        parse batch's distinct-text dedup and the per-worker extract memo
+        hit for every duplicate regardless of worker count — the
+        dedup-before-expensive-op exchange: one cheap
         int64 sort of the sentence stream buys near-total elimination of
         repeated parsing/extraction (transcripts repeat heavily)."""
         import pyarrow as _pa
@@ -192,8 +202,6 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                   .sort("__th") \
                   .map_batches(drop_hash, batch_format="pyarrow")
 
-    parser = parser_cls or TemplateParserActor
-
     if dedup_sort not in (True, False, "auto"):
         raise ValueError(f"dedup_sort must be True/False/'auto', "
                          f"got {dedup_sort!r}")
@@ -211,14 +219,16 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         return _dedup_decision["on"]
 
     def _parses(src):
-        # a model-backed parser actor (e.g. stages.parse.DDParserActor) sets
-        # fractional num_gpus here (ST3, SURVEY.md §2.4); the template
-        # parser is CPU-only by default
-        kwargs = {"num_gpus": parse_num_gpus} if parse_num_gpus else {}
         if _use_dedup_sort():
             src = _dedup_sort(src)
+        if parser_cls is None:
+            return src.map_batches(template_parse, batch_format="pyarrow",
+                                   batch_size=PARSE_BATCH_SIZE)
+        # a model-backed parser actor (e.g. stages.parse.DDParserActor) sets
+        # fractional num_gpus here (ST3, SURVEY.md §2.4)
+        kwargs = {"num_gpus": parse_num_gpus} if parse_num_gpus else {}
         return src.map_batches(
-            parser, batch_format="pyarrow",
+            parser_cls, batch_format="pyarrow",
             batch_size=PARSE_BATCH_SIZE, concurrency=parse_concurrency,
             **kwargs)
 
@@ -229,29 +239,24 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         metrics_dir = store.metrics_dir(metrics_stage)
 
         def extract_with_config(batch):
-            return extract_triples(batch, cfg)
-
-        def link_and_meter(batch):
             import pyarrow.compute as _pc
 
             from ..state.lineage import emit_partition_metrics
 
-            out = link_entities(batch)
-            rec = {"n_triples": out.num_rows,
-                   "n_linked_subj": int(_pc.sum(
-                       _pc.is_valid(out.column("subj_ent"))).as_py() or 0),
-                   "n_linked_obj": int(_pc.sum(
-                       _pc.is_valid(out.column("obj_ent"))).as_py() or 0),
-                   "n_negated": int(_pc.sum(
-                       out.column("negated").cast("int64")).as_py() or 0)}
+            out, rec = extract_linked(batch, cfg)
+            rec.update(
+                n_triples=out.num_rows,
+                n_linked_subj=out.num_rows - out.column("subj_ent").null_count,
+                n_linked_obj=out.num_rows - out.column("obj_ent").null_count,
+                n_negated=int(_pc.sum(
+                    out.column("negated").cast("int64")).as_py() or 0))
             kinds = _pc.value_counts(out.column("rel_kind"))
             for item in kinds.to_pylist():
                 rec[f"n_{item['values']}"] = item["counts"]
             emit_partition_metrics(metrics_dir, rec)
             return out
 
-        ds = src.map_batches(extract_with_config, batch_format="pyarrow") \
-                .map_batches(link_and_meter, batch_format="pyarrow")
+        ds = src.map_batches(extract_with_config, batch_format="pyarrow")
         for hook in extra_stages:
             ds = hook(ds)
         return ds

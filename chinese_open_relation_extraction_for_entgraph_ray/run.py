@@ -29,9 +29,6 @@ def main(argv=None) -> int:
                          "'minimal': fuse the map stages for throughput")
     ap.add_argument("--no-resume", action="store_true",
                     help="recompute every stage even if checkpoints match")
-    ap.add_argument("--parse-concurrency", type=int, default=None,
-                    help="parser actor-pool size (default: adaptive, "
-                         "min(4, CPUs/2, CPUs-2))")
     ap.add_argument("--triples-shards", type=int, default=0,
                     help="minimal mode: split the extraction stage into N "
                          "independently-committed shards (mid-stage resume "
@@ -47,14 +44,9 @@ def main(argv=None) -> int:
 
     from .pipelines.kg import build_kg
 
-    # None passes through to build_kg's adaptive default, which guards
-    # against an actor pool sized to the whole cluster (streaming-executor
-    # stall); an explicit value (including 0 -> rejected there) is the
-    # user's choice
     t0 = time.perf_counter()
     res = build_kg(args.input, args.output, resume=not args.no_resume,
                    checkpoints=args.checkpoints,
-                   parse_concurrency=args.parse_concurrency,
                    triples_shards=args.triples_shards)
     n_triples = res["triples"].count()
     n_edges = res["edges"].count()

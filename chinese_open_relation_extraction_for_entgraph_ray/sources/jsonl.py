@@ -98,6 +98,69 @@ def _entry_rows(entry: dict, raw: str, *, text_field: str,
     return [{"conv_id": conv_id, "turn_idx": 0, "text": str(text)}]
 
 
+def fast_split_table(lines: list, id_field: str,
+                     split_field: str) -> pa.Table | None:
+    """Arrow-native fast path for the explicit-id split_field dialect:
+    ONE pyarrow C++ JSON parse per block + vectorized list explode —
+    no per-line json.loads.  Measured: parse-stage CPU roughly halves;
+    end-to-end warm wall for the 260 MB sf0.1 round-trip is ~10.3 s ->
+    ~9.7 s (median of 3) because the read_text line scan dominates on
+    this host — the CPU saving is the scale argument, not local wall.
+    Returns None when the block needs the general row path
+    (missing/odd fields, non-string elements, null ids, several objects
+    on one line), whose semantics are the dialect reference.  Ray already
+    parallelizes across blocks, so the JSON reader runs single-threaded."""
+    import io
+
+    import numpy as np
+    import pyarrow.compute as pc
+    import pyarrow.json as pajson
+
+    lines = [ln for ln in lines if ln and ln.strip()]
+    if not lines:
+        return _rows_to_table([])
+    try:
+        tbl = pajson.read_json(
+            io.BytesIO(("\n".join(lines)).encode("utf-8")),
+            read_options=pajson.ReadOptions(use_threads=False))
+    except Exception:
+        return None
+    if tbl.num_rows != len(lines):   # several objects on one line: the row
+        return None                  # path's json.loads rejects those
+    names = set(tbl.column_names)
+    if id_field not in names or split_field not in names:
+        return None
+    ids = tbl.column(id_field)
+    parts = tbl.column(split_field)
+    if (not pa.types.is_string(ids.type)
+            or not pa.types.is_list(parts.type)
+            or not pa.types.is_string(parts.type.value_type)
+            or ids.null_count):
+        return None
+    parts = parts.combine_chunks() if isinstance(
+        parts, pa.ChunkedArray) else parts
+    flat = pc.list_flatten(parts)
+    if flat.null_count:          # null elements -> str(None) quirk:
+        return None              # defer to the reference row path
+    lengths = pc.fill_null(pc.list_value_length(parts), 0) \
+        .to_numpy(zero_copy_only=False).astype(np.int64)
+    parent = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    turn_idx = np.arange(int(lengths.sum()), dtype=np.int64) - starts
+    n = len(turn_idx)
+    ids_flat = pc.take(ids, pa.array(parent, pa.int64()))
+    return pa.Table.from_arrays(
+        [ids_flat.combine_chunks() if isinstance(
+            ids_flat, pa.ChunkedArray) else ids_flat,
+         pa.array(turn_idx.astype(np.int32), pa.int32()),
+         pa.array(["doc"] * n, pa.string()),
+         flat.combine_chunks() if isinstance(
+             flat, pa.ChunkedArray) else flat,
+         pa.nulls(n, pa.string()),
+         pa.nulls(n, pa.timestamp("us"))],
+        schema=TRANSCRIPTS_SCHEMA)
+
+
 def read_transcripts_jsonl(path: str, *, text_field: str = "text",
                            id_field: str | None = None,
                            split_field: str | None = None,
@@ -129,70 +192,13 @@ def read_transcripts_jsonl(path: str, *, text_field: str = "text",
                                     presplit=presplit))
         return _rows_to_table(rows)
 
-    def parse_fast_split(batch: pa.Table) -> pa.Table | None:
-        """Arrow-native fast path for the explicit-id split_field dialect:
-        ONE pyarrow C++ JSON parse per block + vectorized list explode —
-        no per-line json.loads.  Measured: parse-stage CPU roughly halves;
-        end-to-end warm wall for the 260 MB sf0.1 round-trip is ~10.3 s ->
-        ~9.7 s (median of 3) because the read_text line scan dominates on
-        this host — the CPU saving is the scale argument, not local wall.
-        Returns None when the block needs the general row path
-        (missing/odd fields, non-string elements, null ids), whose
-        semantics are the dialect reference."""
-        import io
-
-        import numpy as np
-        import pyarrow.compute as pc
-        import pyarrow.json as pajson
-
-        lines = [ln for ln in batch.column("text").to_pylist()
-                 if ln and ln.strip()]
-        if not lines:
-            return _rows_to_table([])
-        try:
-            tbl = pajson.read_json(
-                io.BytesIO(("\n".join(lines)).encode("utf-8")))
-        except Exception:
-            return None
-        names = set(tbl.column_names)
-        if id_field not in names or split_field not in names:
-            return None
-        ids = tbl.column(id_field)
-        parts = tbl.column(split_field)
-        if (not pa.types.is_string(ids.type)
-                or not pa.types.is_list(parts.type)
-                or not pa.types.is_string(parts.type.value_type)
-                or ids.null_count):
-            return None
-        parts = parts.combine_chunks() if isinstance(
-            parts, pa.ChunkedArray) else parts
-        flat = pc.list_flatten(parts)
-        if flat.null_count:          # null elements -> str(None) quirk:
-            return None              # defer to the reference row path
-        lengths = pc.fill_null(pc.list_value_length(parts), 0) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        parent = np.repeat(np.arange(len(lengths)), lengths)
-        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        turn_idx = np.arange(int(lengths.sum()), dtype=np.int64) - starts
-        n = len(turn_idx)
-        ids_flat = pc.take(ids, pa.array(parent, pa.int64()))
-        return pa.Table.from_arrays(
-            [ids_flat.combine_chunks() if isinstance(
-                ids_flat, pa.ChunkedArray) else ids_flat,
-             pa.array(turn_idx.astype(np.int32), pa.int32()),
-             pa.array(["doc"] * n, pa.string()),
-             flat.combine_chunks() if isinstance(
-                 flat, pa.ChunkedArray) else flat,
-             pa.nulls(n, pa.string()),
-             pa.nulls(n, pa.timestamp("us"))],
-            schema=TRANSCRIPTS_SCHEMA)
-
     fast_eligible = (FAST_SPLIT_PATH and split_field is not None
                      and id_field is not None and not presplit)
 
     def parse(batch: pa.Table) -> pa.Table:
         if fast_eligible:
-            out = parse_fast_split(batch)
+            out = fast_split_table(batch.column("text").to_pylist(),
+                                   id_field, split_field)
             if out is not None:
                 return out
         return parse_rows(batch.column("text").to_pylist())

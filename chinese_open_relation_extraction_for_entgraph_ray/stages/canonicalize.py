@@ -63,37 +63,32 @@ _SURFACE_RE = re.compile(
     "|".join(re.escape(w) for w in sorted(_CANONICAL, key=len, reverse=True)))
 
 
-_LINK_MEMO: dict[str, str | None] = {}
-_LINK_MEMO_MAX = 500_000
-
-
 def link_surface(surface) -> str | None:
     """surface -> canonical entity surface, or None if unlinkable.
 
     Exact gazetteer/alias hit first; else the longest-first leftmost gazetteer
     mention contained in the (possibly span-expanded, coarse) argument.
-    Memoized per process (argument surfaces repeat heavily).
     """
     if not surface:
         return None
     hit = _CANONICAL.get(surface)
     if hit is not None:
         return hit
-    if surface in _LINK_MEMO:
-        return _LINK_MEMO[surface]
     m = _SURFACE_RE.search(surface)
-    res = _CANONICAL[m.group(0)] if m else None
-    if len(_LINK_MEMO) < _LINK_MEMO_MAX:
-        _LINK_MEMO[surface] = res
-    return res
+    return _CANONICAL[m.group(0)] if m else None
+
+
+def _link_column(surfaces: pa.ChunkedArray) -> pa.Array:
+    enc = pc.dictionary_encode(surfaces.combine_chunks())
+    linked = [link_surface(s) for s in enc.dictionary.to_pylist()]
+    return pa.array(linked, pa.string()).take(enc.indices)
 
 
 def link_entities(batch: pa.Table) -> pa.Table:
-    """Adds subj_ent / obj_ent columns (nullable canonical surfaces)."""
-    subj_ent = [link_surface(s) for s in batch.column("subj").to_pylist()]
-    obj_ent = [link_surface(o) for o in batch.column("obj").to_pylist()]
-    return batch.append_column("subj_ent", pa.array(subj_ent, pa.string())) \
-                .append_column("obj_ent", pa.array(obj_ent, pa.string()))
+    """Adds subj_ent / obj_ent columns (nullable canonical surfaces); each
+    distinct surface of the batch is linked once."""
+    return batch.append_column("subj_ent", _link_column(batch.column("subj"))) \
+                .append_column("obj_ent", _link_column(batch.column("obj")))
 
 
 EDGE_KEYS = ["subj", "pred", "obj", "subj_ent", "obj_ent"]

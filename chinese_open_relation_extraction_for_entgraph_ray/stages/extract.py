@@ -1,10 +1,11 @@
 """Parses -> triples (the extraction-cascade stage).
 
-Stateless ``map_batches`` over Arrow batches: per sentence row, run the pure
+Stateless ``map_batches`` over Arrow batches: per distinct parse, run the pure
 rule cascade (``functions/cascade.process_sentence`` — extraction, amendments,
 filters, negation, coarsification; reference post_processing
 /root/reference/dudepparse.py:1718-1786) and explode the five relation streams
-into one row per triple.
+into one row per triple, entity-linked (``canonicalize.link_surface``); equal
+parses share one memoized block, expanded to their rows by a vectorized take.
 
 The POS map is derived from the static gazetteer (the analog of
 corenlp_pos_tags, reference main_ner.py:36-40) — module-constant state shipped
@@ -13,10 +14,13 @@ with the code, so no broadcast is needed.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.cascade import DEFAULT_CONFIG, ExtractionConfig, process_sentence
 from ..functions.lexicon import pos_map_for_words
+from .canonicalize import link_surface
 
 TRIPLES_SCHEMA = pa.schema([
     ("conv_id", pa.string()),
@@ -33,44 +37,87 @@ TRIPLES_SCHEMA = pa.schema([
 ])
 
 
-# Per-process memo: full parse key -> flattened triple rows.  Transcript
+ENTITY_COLUMNS = ["subj_ent", "obj_ent"]
+LINKED_TRIPLES_SCHEMA = pa.schema(
+    list(TRIPLES_SCHEMA) + [pa.field(c, pa.string()) for c in ENTITY_COLUMNS])
+_PROVENANCE = ["conv_id", "turn_idx", "sent_idx"]
+_BLOCK_FIELDS = list(LINKED_TRIPLES_SCHEMA)[len(_PROVENANCE):]
+
+# Per-process memo: config -> {parse key -> linked triple rows}.  Transcript
 # corpora repeat sentences heavily (tool outputs, greetings, boilerplate), and
-# the cascade is a pure function of the parse, so identical sentences are
-# extracted once per worker.  Bounded so the worker heap stays flat at 100 TB.
-_EXTRACT_MEMO: dict[tuple, dict[str, list]] = {}
-_EXTRACT_MEMO_MAX = 0 if __import__('os').environ.get('GRAFT_NO_MEMO') else 200_000
+# the cascade and entity linking are pure functions of the parse, so each
+# distinct parse is extracted and linked once per worker.  Partitioned by
+# config (a different flag set is a different function); bounded so the
+# worker heap stays flat at 100 TB.
+_EXTRACT_MEMO: dict[ExtractionConfig, dict[str, list[tuple]]] = {}
+_EXTRACT_MEMO_MAX = 200_000
 
 
-def _cascade_columns(words, heads, deprels,
-                     config: ExtractionConfig = DEFAULT_CONFIG) -> tuple:
-    """Cached pure-cascade result in COLUMNAR form:
-    (kinds, subjs, preds, objs, subj_idxs, pred_idxs, obj_idxs, negated, n).
-    Columnar so the replay path extends whole columns per sentence instead of
-    appending per row.  The memo is partitioned by config (a different flag
-    set is a different function)."""
+def _linked_rows(words, heads, deprels, config: ExtractionConfig) -> list[tuple]:
+    """One parse -> its linked triples in stream order, one tuple per triple
+    in ``LINKED_TRIPLES_SCHEMA`` order minus the provenance columns."""
+    streams = process_sentence({"word": words, "head": heads, "deprel": deprels},
+                               pos_map_for_words(words), config=config)
+    return [(kind, names[0], names[1], names[2], idxs[0], idxs[1], idxs[2],
+             bool(names[1] and names[1].startswith("否·")),
+             link_surface(names[0]), link_surface(names[2]))
+            for kind, rels in streams.items() for (names, _, idxs) in rels]
+
+
+def _parse_keys(batch: pa.Table) -> pa.Array:
+    """Per-row parse key: words | heads | deprels, each list joined (sentence
+    splitting strips NUL, so it cannot occur inside a word)."""
+    heads = pc.cast(batch.column("heads").combine_chunks(),
+                    pa.list_(pa.string()))
+    return pc.binary_join_element_wise(
+        pc.binary_join(batch.column("words").combine_chunks(), "\x00"),
+        pc.binary_join(heads, ","),
+        pc.binary_join(batch.column("deprels").combine_chunks(), ","), "|")
+
+
+def extract_linked(batch: pa.Table, config: ExtractionConfig = DEFAULT_CONFIG
+                   ) -> tuple[pa.Table, dict]:
+    """Parses -> linked triples (``LINKED_TRIPLES_SCHEMA``) plus the batch's
+    memo counters.
+
+    Runs the cascade and entity linking once per distinct parse key not yet
+    in the memo, then expands the per-key blocks to rows with one vectorized
+    take: row order is the batch's, triples within a row keep stream order.
+    """
+    n = batch.num_rows
+    enc = pc.dictionary_encode(_parse_keys(batch))
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    keys = enc.dictionary.to_pylist()
     memo = _EXTRACT_MEMO.setdefault(config, {})
-    key = "\x00".join(words) + "|" + ",".join(map(str, heads)) \
-        + "|" + ",".join(deprels)
-    cols = memo.get(key)
-    if cols is None:
-        ddp = {"word": words, "head": heads, "deprel": deprels}
-        streams = process_sentence(ddp, pos_map_for_words(words), config=config)
-        kinds, subjs, preds, objs = [], [], [], []
-        sis, vis, ois, negs = [], [], [], []
-        for kind, rels in streams.items():
-            for (names, _, idxs) in rels:
-                kinds.append(kind)
-                subjs.append(names[0])
-                preds.append(names[1])
-                objs.append(names[2])
-                sis.append(idxs[0])
-                vis.append(idxs[1])
-                ois.append(idxs[2])
-                negs.append(bool(names[1] and names[1].startswith("否·")))
-        cols = (kinds, subjs, preds, objs, sis, vis, ois, negs, len(kinds))
-        if len(memo) < _EXTRACT_MEMO_MAX:
-            memo[key] = cols
-    return cols
+    blocks = [memo.get(k) for k in keys]
+    missed = [i for i, blk in enumerate(blocks) if blk is None]
+    stats = {"n_sentences": n, "n_distinct_parses": len(keys),
+             "memo_misses": len(missed), "memo_full": 0}
+    if missed:
+        _, first_row = np.unique(codes, return_index=True)
+        parses = batch.take(pa.array(first_row[missed]))
+        for i, words, heads, deprels in zip(
+                missed, parses.column("words").to_pylist(),
+                parses.column("heads").to_pylist(),
+                parses.column("deprels").to_pylist()):
+            blocks[i] = _linked_rows(words, heads, deprels, config)
+            if len(memo) < _EXTRACT_MEMO_MAX:
+                memo[keys[i]] = blocks[i]
+            else:
+                stats["memo_full"] += 1
+
+    sizes = np.fromiter(map(len, blocks), np.int64, len(blocks))
+    per_row = sizes[codes]
+    row_ids = np.repeat(np.arange(n), per_row)
+    row_starts = np.cumsum(per_row) - per_row
+    take = (np.repeat((np.cumsum(sizes) - sizes)[codes] - row_starts, per_row)
+            + np.arange(int(per_row.sum())))
+    cols = (list(zip(*(row for blk in blocks for row in blk)))
+            or [()] * len(_BLOCK_FIELDS))
+    prov = batch.select(_PROVENANCE).take(pa.array(row_ids))
+    arrays = prov.columns + [pa.array(col, f.type).take(pa.array(take))
+                             for col, f in zip(cols, _BLOCK_FIELDS)]
+    return pa.Table.from_arrays(arrays, schema=LINKED_TRIPLES_SCHEMA), stats
 
 
 # reference bucket names (merge_parsed_results.py:82-90) keyed by the
@@ -142,37 +189,6 @@ def filter_histograms(parses_ds, config: ExtractionConfig = DEFAULT_CONFIG):
 
 def extract_triples(batch: pa.Table,
                     config: ExtractionConfig = DEFAULT_CONFIG) -> pa.Table:
-    conv_ids = batch.column("conv_id").to_pylist()
-    turn_idxs = batch.column("turn_idx").to_pylist()
-    sent_idxs = batch.column("sent_idx").to_pylist()
-    words_col = batch.column("words").to_pylist()
-    heads_col = batch.column("heads").to_pylist()
-    deprels_col = batch.column("deprels").to_pylist()
-
-    out_conv: list = []
-    out_turn: list = []
-    out_sent: list = []
-    out = ([], [], [], [], [], [], [], [])   # kinds..negs, column-parallel
-    for cid, tid, sid, words, heads, deprels in zip(
-            conv_ids, turn_idxs, sent_idxs, words_col, heads_col, deprels_col):
-        cols = _cascade_columns(words, heads, deprels, config)
-        n = cols[8]
-        if not n:
-            continue
-        out_conv.extend([cid] * n)
-        out_turn.extend([tid] * n)
-        out_sent.extend([sid] * n)
-        for acc, col in zip(out, cols):
-            acc.extend(col)
-    arrays = [pa.array(out_conv, pa.string()),
-              pa.array(out_turn, pa.int32()),
-              pa.array(out_sent, pa.int32()),
-              pa.array(out[0], pa.string()),     # rel_kind
-              pa.array(out[1], pa.string()),     # subj
-              pa.array(out[2], pa.string()),     # pred
-              pa.array(out[3], pa.string()),     # obj
-              pa.array(out[4], pa.int32()),      # subj_idx
-              pa.array(out[5], pa.int32()),      # pred_idx
-              pa.array(out[6], pa.int32()),      # obj_idx
-              pa.array(out[7], pa.bool_())]      # negated
-    return pa.Table.from_arrays(arrays, schema=TRIPLES_SCHEMA)
+    """Parses -> triples (``TRIPLES_SCHEMA``): :func:`extract_linked` without
+    the entity columns."""
+    return extract_linked(batch, config)[0].drop_columns(ENTITY_COLUMNS)

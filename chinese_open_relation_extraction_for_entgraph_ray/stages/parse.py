@@ -1,20 +1,24 @@
-"""Sentence rows -> dependency parses (the stateful parser stage).
+"""Sentence rows -> dependency parses (the parser stage).
 
 This is the reference's DDParser stage (`/root/reference/dudepparse.py:1851,
-1891-1906`) as a Ray Data actor-pool ``map_batches`` stage: the parser state
-(compiled template automata here; warm model weights in a production parser)
-is built ONCE per actor in ``__init__`` and reused per batch.  A real
-DDParser/LTP model drops in by swapping :class:`TemplateParserActor` for a
-model-backed actor with the same ``{word, head, deprel}`` output contract —
-exactly the reference's ``--ready_ddp`` decoupling of parsing from extraction.
+1891-1906`).  The default template parser is cheap to build and holds no
+weights, so it runs as a stateless ``map_batches`` task
+(:func:`template_parse`, one parser per worker process).  A real DDParser/LTP
+model drops in as an actor-pool stage by passing a model-backed actor with
+the same ``{word, head, deprel}`` output contract as ``parser_cls`` (e.g.
+:class:`DDParserActor`), whose warm weights are built ONCE per actor in
+``__init__`` — exactly the reference's ``--ready_ddp`` decoupling of parsing
+from extraction.
 
-The stage asserts the reference's reconstruction invariant per row:
-``''.join(words) == text`` (dudepparse.py:1901-1906).
+The stage asserts the reference's reconstruction invariant for every row:
+``''.join(words) == text`` (dudepparse.py:1901-1906); rows with equal text
+share one parse, so it is checked once per distinct text.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.grammar import compiled_templates
 
@@ -67,31 +71,19 @@ class DDParserActor:
 
 
 class TemplateParserActor:
-    """Deterministic rule/lexicon parser held warm per actor.
+    """Deterministic rule/lexicon parser: templates compiled once per
+    instance, each distinct text of a batch parsed once.
 
-    ``concurrency=N`` sizes the pool; with a GPU model this is where
-    ``num_gpus`` would be set (SURVEY.md §2.4 ST3).
+    The template parser carries no model weights, so ``build_kg`` runs it as
+    a plain task through :func:`template_parse`; the actor-pool path
+    (``concurrency=N``, ``num_gpus``; SURVEY.md §2.4 ST3) is for
+    model-backed ``parser_cls`` classes with the same batch contract.
     """
 
-    MEMO_MAX = 0 if __import__('os').environ.get('GRAFT_NO_MEMO') else 200_000
-
     def __init__(self):
-        self._templates = compiled_templates()   # compile once per actor
-        # text -> parse memo (transcripts repeat sentences heavily; the
-        # parser is deterministic, so each distinct text is parsed once
-        # per actor); bounded for flat heap at scale
-        self._memo: dict[str, tuple] = {}
+        self._templates = compiled_templates()
 
     def _parse(self, text: str) -> tuple[list[str], list[int], list[str]]:
-        hit = self._memo.get(text)
-        if hit is not None:
-            return hit
-        res = self._parse_uncached(text)
-        if len(self._memo) < self.MEMO_MAX:
-            self._memo[text] = res
-        return res
-
-    def _parse_uncached(self, text: str) -> tuple[list[str], list[int], list[str]]:
         for t, pat in self._templates:
             m = pat.match(text)
             if m is None:
@@ -102,21 +94,32 @@ class TemplateParserActor:
         return [text], [0], ["HED"]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        words_col: list[list[str]] = []
-        heads_col: list[list[int]] = []
-        deprels_col: list[list[str]] = []
-        for text in texts:
-            words, heads, deprels = self._parse(text)
+        # transcripts repeat sentences heavily: parse each distinct text once
+        # and expand to rows with one take over the dictionary indices
+        enc = pc.dictionary_encode(batch.column("text").combine_chunks(),
+                                   null_encoding="encode")
+        texts = enc.dictionary.to_pylist()
+        parses = [self._parse(text) for text in texts]
+        for text, (words, _, _) in zip(texts, parses):
             if "".join(words) != text:   # dudepparse.py:1901-1906
                 raise AssertionError(f"parse reconstruction mismatch: {text!r}")
-            words_col.append(words)
-            heads_col.append(heads)
-            deprels_col.append(deprels)
+        words_col, heads_col, deprels_col = list(zip(*parses)) or ([], [], [])
         return pa.Table.from_arrays(
             [batch.column("conv_id"), batch.column("turn_idx"),
              batch.column("sent_idx"), batch.column("text"),
-             pa.array(words_col, pa.list_(pa.string())),
-             pa.array(heads_col, pa.list_(pa.int32())),
-             pa.array(deprels_col, pa.list_(pa.string()))],
+             pa.array(words_col, pa.list_(pa.string())).take(enc.indices),
+             pa.array(heads_col, pa.list_(pa.int32())).take(enc.indices),
+             pa.array(deprels_col, pa.list_(pa.string())).take(enc.indices)],
             schema=PARSES_SCHEMA)
+
+
+_TEMPLATE_PARSER: TemplateParserActor | None = None
+
+
+def template_parse(batch: pa.Table) -> pa.Table:
+    """Stateless-task form of :class:`TemplateParserActor`: one parser per
+    worker process, built on first use."""
+    global _TEMPLATE_PARSER
+    if _TEMPLATE_PARSER is None:
+        _TEMPLATE_PARSER = TemplateParserActor()
+    return _TEMPLATE_PARSER(batch)

@@ -202,3 +202,19 @@ def test_jsonl_split_fast_path_parity(ray_session, tmp_path, monkeypatch):
     assert got == sorted(
         [("a", i, "doc", s, None, None) for i, s in enumerate(SENTS)]
         + [("b", 0, "doc", SENTS[0], None, None)])
+
+    # the parity above is not vacuous: a one-block read of the clean file
+    # takes the fast path, the quirky file's block bails to the row path
+    def fast(lines):
+        return jsonl.fast_split_table(lines, "conv_id", "splitted_text")
+
+    clean_fast = fast(clean.read_text(encoding="utf8").splitlines())
+    assert clean_fast is not None
+    assert sorted((r["conv_id"], r["turn_idx"], r["role"], r["text"],
+                   r["tool"], r["ts"]) for r in clean_fast.to_pylist()) == got
+    assert fast(quirky.read_text(encoding="utf8").splitlines()) is None
+    # two objects on one line: json.loads on the row path rejects the line,
+    # so the fast path must not accept it either
+    two = json.dumps({"conv_id": "a", "splitted_text": SENTS[:1]},
+                     ensure_ascii=False)
+    assert fast([two + " " + two]) is None

@@ -87,6 +87,21 @@ def test_lineage_manifests_written(kg):
         assert manifest["partitions"]
 
 
+def test_triples_manifest_counts_memo_work(kg):
+    """The triples stage reports its dedup work: every sentence is counted,
+    the cascade runs at most once per distinct parse of a batch, and a miss
+    that is not cached (memo at its cap) is counted too."""
+    import json
+
+    with open(os.path.join(ODIR, "triples", "_lineage.json")) as fp:
+        ext = json.load(fp)["metrics"]["extraction"]
+    assert ext["n_sentences"] == kg["parses"].count() > 0
+    assert 0 <= ext["memo_misses"] <= ext["n_distinct_parses"] \
+        <= ext["n_sentences"]
+    assert 0 <= ext["memo_full"] <= ext["memo_misses"]
+    assert ext["n_triples"] == kg["triples"].count()
+
+
 def test_resume_skips_completed_stages(kg, ray_session):
     res = build_kg(TDIR, ODIR, parse_concurrency=2)
     assert res["_meta"]["ran_stages"] == []     # everything checkpointed
