@@ -158,7 +158,7 @@ def _kg_golden() -> dict:
         out_dir = f"/tmp/entgraph_golden/kg.{os.getpid()}"
         shutil.rmtree(out_dir, ignore_errors=True)
         out = _GOLDEN_MEMO["kg"] = build_kg(
-            tdir, out_dir, parse_concurrency=2, resume=False)
+            tdir, out_dir, resume=False)
     return out
 
 

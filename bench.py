@@ -50,7 +50,6 @@ def _run_headline() -> dict:
     # recorded in BASELINE.md): the ~3 s probe read is a fixed cost that
     # would skew the short-leg/long-leg scaling ratio, not pipeline work
     res = build_kg(tdir, out_dir, resume=False, checkpoints="minimal",
-                   parse_concurrency=max(2, NUM_CPUS // 4),
                    dedup_sort=True)
     n_triples = res["triples"].count()
     n_edges = res["edges"].count()

@@ -100,8 +100,8 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     :class:`..stages.parse.DDParserActor`) run as an actor pool of
     ``parse_concurrency`` actors (default: half the cluster's CPUs, at most
     ``PARSE_CONCURRENCY``) with ``parse_num_gpus`` each.  Both apply only
-    with ``parser_cls``: the default template parser runs as stateless
-    tasks (:func:`..stages.parse.template_parse`).
+    with ``parser_cls`` and are refused without it: the default template
+    parser runs as stateless tasks (:func:`..stages.parse.template_parse`).
 
     ``dedup_sort``: co-locate identical sentence texts before the parse
     stage so each batch's distinct-text parse and the per-worker extract
@@ -124,6 +124,11 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     from ..functions.cascade import DEFAULT_CONFIG
 
     cfg = config or DEFAULT_CONFIG
+    if parser_cls is None and (parse_concurrency is not None
+                               or parse_num_gpus):
+        raise ValueError("parse_concurrency and parse_num_gpus size the "
+                         "parser_cls actor pool; the default template "
+                         "parser runs as stateless tasks")
     if parse_concurrency is not None and parse_concurrency < 1:
         raise ValueError(f"parse_concurrency must be >= 1 or None, "
                          f"got {parse_concurrency!r}")

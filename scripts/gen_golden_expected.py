@@ -38,7 +38,7 @@ from chinese_open_relation_extraction_for_entgraph_ray.stages.extract import (
 from chinese_open_relation_extraction_for_entgraph_ray.stages.coref import (
     coref_chain_buckets)
 tdir = write_golden_transcripts("/tmp/entgraph_golden/transcripts")
-kg = build_kg(tdir, %(out)r, parse_concurrency=2)
+kg = build_kg(tdir, %(out)r)
 import pandas as pd
 
 TRIPLE_COLS = ["conv_id", "turn_idx", "sent_idx", "rel_kind", "subj", "pred",

@@ -15,7 +15,6 @@ import pyarrow.compute as pc
 import pytest
 
 from chinese_open_relation_extraction_for_entgraph_ray.functions.cascade import (
-    ExtractionConfig,
     process_sentence,
 )
 from chinese_open_relation_extraction_for_entgraph_ray.functions.lexicon import (
@@ -64,13 +63,13 @@ def _corpus_texts() -> list[str]:
     return out
 
 
-def _reference_rows(parses: pa.Table, config=None) -> list[dict]:
+def _reference_rows(parses: pa.Table) -> list[dict]:
     rows = []
     for r in parses.to_pylist():
         words = r["words"]
         streams = process_sentence(
             {"word": words, "head": r["heads"], "deprel": r["deprels"]},
-            pos_map_for_words(words), config=config)
+            pos_map_for_words(words))
         for kind, rels in streams.items():
             for (subj, pred, obj), _, (si, vi, oi) in rels:
                 rows.append({
@@ -175,14 +174,6 @@ def test_full_memo_stops_caching_without_changing_rows(parses, cold_memo,
     got, stats = extract.extract_linked(parses)
     assert got.to_pylist() == want
     assert stats["memo_misses"] == stats["n_distinct_parses"] - 2
-
-
-def test_config_partitions_the_memo(parses, cold_memo):
-    off = ExtractionConfig(amend_pob=False)
-    assert extract.extract_linked(parses, off)[0].to_pylist() == \
-        _reference_rows(parses, off)
-    assert extract.extract_linked(parses)[0].to_pylist() == \
-        _reference_rows(parses)
 
 
 def test_link_entities_links_each_row():

@@ -47,7 +47,7 @@ def test_actor_crash_mid_parse_recovers_identically(ray_session, tmp_path):
     tdir = transcripts_dir_for_sf("/root/testdata/sf0.001")
     base = _triples_key(build_kg(tdir, str(tmp_path / "kg_base"),
                                  resume=False, checkpoints="minimal",
-                                 dedup_sort=False, parse_concurrency=2))
+                                 dedup_sort=False))
     crashed = _triples_key(build_kg(tdir, str(tmp_path / "kg_crash"),
                                     resume=False, checkpoints="minimal",
                                     dedup_sort=False,

@@ -34,7 +34,7 @@ def test_jsonl_content_dialect_roundtrip_build_kg(ray_session, tmp_path):
     tdir = str(tmp_path / "transcripts")
     ds.write_parquet(tdir)
     out = str(tmp_path / "kg")
-    res = build_kg(tdir, out, parse_concurrency=2, dedup_sort=False)
+    res = build_kg(tdir, out, dedup_sort=False)
     triples = res["triples"].take_all()
     assert len(triples) > 0
     assert {t["conv_id"] for t in triples} <= {"n0", "n1", "n2"}
@@ -143,8 +143,7 @@ def test_jsonl_presplit_dialect_roundtrip_build_kg(ray_session, tmp_path):
 
     tdir = str(tmp_path / "transcripts")
     ds.write_parquet(tdir)
-    res = build_kg(tdir, str(tmp_path / "kg"), parse_concurrency=2,
-                   dedup_sort=False)
+    res = build_kg(tdir, str(tmp_path / "kg"), dedup_sort=False)
     triples = res["triples"].take_all()
     assert len(triples) > 0
     assert {t["conv_id"] for t in triples} == {"w0"}

@@ -26,7 +26,7 @@ ODIR = "/tmp/entgraph_test/kg"
 def kg(ray_session):
     shutil.rmtree("/tmp/entgraph_test", ignore_errors=True)
     write_transcripts(TDIR, SEED, NUM_CONVS)
-    return build_kg(TDIR, ODIR, parse_concurrency=2)
+    return build_kg(TDIR, ODIR)
 
 
 def test_sentences_nonempty_and_ordered(kg):
@@ -102,20 +102,30 @@ def test_triples_manifest_counts_memo_work(kg):
     assert ext["n_triples"] == kg["triples"].count()
 
 
+@pytest.mark.parametrize("kwargs", [{"parse_concurrency": 2},
+                                    {"parse_num_gpus": 0.5}])
+def test_parse_pool_sizing_needs_parser_cls(kwargs, tmp_path):
+    """The pool-sizing arguments only size a ``parser_cls`` actor pool; with
+    the default template parser they would be silently ignored, so they are
+    refused."""
+    with pytest.raises(ValueError, match="parser_cls"):
+        build_kg(str(tmp_path / "in"), str(tmp_path / "kg"), **kwargs)
+
+
 def test_resume_skips_completed_stages(kg, ray_session):
-    res = build_kg(TDIR, ODIR, parse_concurrency=2)
+    res = build_kg(TDIR, ODIR)
     assert res["_meta"]["ran_stages"] == []     # everything checkpointed
 
 
 def test_resume_recomputes_downstream_of_missing_stage(kg, ray_session):
     # kill the edges checkpoint -> only edges + entities recompute
     shutil.rmtree(os.path.join(ODIR, "edges"))
-    res = build_kg(TDIR, ODIR, parse_concurrency=2)
+    res = build_kg(TDIR, ODIR)
     assert res["_meta"]["ran_stages"] == ["edges", "entities"]
 
 
 def test_determinism_two_runs_identical(kg, ray_session):
-    res2 = build_kg(TDIR, ODIR + "_rerun", parse_concurrency=2, resume=False)
+    res2 = build_kg(TDIR, ODIR + "_rerun", resume=False)
     a = kg["triples"].to_pandas().sort_values(
         ["conv_id", "turn_idx", "sent_idx", "rel_kind", "pred", "subj", "obj"],
         na_position="first").reset_index(drop=True)
@@ -165,9 +175,8 @@ def test_sharded_triples_mid_stage_resume(ray_session):
 
     sdir = "/tmp/entgraph_test/kg_sharded"
     shutil.rmtree(sdir, ignore_errors=True)
-    r1 = build_kg(TDIR, sdir, checkpoints="minimal", triples_shards=3,
-                  parse_concurrency=2)
-    fused = build_kg(TDIR, ODIR, parse_concurrency=2)   # resume of module run
+    r1 = build_kg(TDIR, sdir, checkpoints="minimal", triples_shards=3)
+    fused = build_kg(TDIR, ODIR)   # resume of module run
     a = r1["triples"].to_pandas()
     b = fused["triples"].to_pandas()
     cols = list(a.columns)
@@ -177,8 +186,7 @@ def test_sharded_triples_mid_stage_resume(ray_session):
     # simulate preemption: drop stage commit + one shard
     os.remove(os.path.join(sdir, "triples/_lineage.json"))
     shutil.rmtree(os.path.join(sdir, "triples/shard-0001"))
-    r2 = build_kg(TDIR, sdir, checkpoints="minimal", triples_shards=3,
-                  parse_concurrency=2)
+    r2 = build_kg(TDIR, sdir, checkpoints="minimal", triples_shards=3)
     assert r2["triples"].count() == len(a)
     m = json.load(open(os.path.join(sdir, "triples/_lineage.json")))
     # merged metrics still cover every shard, not just the recomputed one
@@ -222,10 +230,8 @@ def test_dedup_sort_gating_identical_outputs(kg, ray_session):
     )
 
     rate = sampled_duplicate_rate(TDIR)
-    res_on = build_kg(TDIR, ODIR + "_sort", parse_concurrency=2,
-                      dedup_sort=True)
-    res_off = build_kg(TDIR, ODIR + "_nosort", parse_concurrency=2,
-                       dedup_sort=False)
+    res_on = build_kg(TDIR, ODIR + "_sort", dedup_sort=True)
+    res_off = build_kg(TDIR, ODIR + "_nosort", dedup_sort=False)
     assert res_on["_meta"]["dedup_sort"]["on"] is True
     assert res_off["_meta"]["dedup_sort"]["on"] is False
     # the module fixture ran with 'auto': decision == probe vs threshold
