@@ -6,7 +6,8 @@ transcripts.parquet
      | parser_cls            (actor-pool map_batches; warm model parser)
   -> extract_linked          (stateless map_batches; rule cascade +     [triples]
                               gazetteer linking once per distinct parse)
-  -> aggregate_edges         (salted two-phase groupby)                 [edges]
+  -> aggregate_edges         (combiner + sorted-block groupby, salted   [edges]
+                              above SALT_BLOCK_THRESHOLD blocks)
   -> aggregate_entities      (groupby entity)                           [entities]
 
 Every stage materializes to Parquet under ``out_dir`` with a lineage manifest
@@ -17,7 +18,8 @@ stages re-read ``parses`` instead of re-parsing (dudepparse.py:1891-1897).
 Scale notes (100 TB / multi-node):
 - the only all-to-all exchanges are the two edge/entity group-bys, which run
   over batch-level partial counts (the combiner collapses each ~10k-row batch
-  to distinct triples first) with explicit hot-key salting;
+  to distinct triples first), salted across NUM_SALTS sub-groups above
+  SALT_BLOCK_THRESHOLD input blocks to spread a hot key;
 - reads prune to the columns each stage needs;
 - everything else is embarrassingly parallel map_batches with streaming
   execution — no driver-side loops, no full materialization.
@@ -70,12 +72,26 @@ def sampled_duplicate_rate(transcripts_dir: str,
     return 1.0 - len(distinct) / n if n else 0.0
 
 
+def _parse_pool_width(parse_num_gpus: float) -> int:
+    """Actor-pool width for a ``parser_cls``: half the cluster's CPUs, at most
+    ``PARSE_CONCURRENCY``, leaving headroom for the task operators feeding and
+    draining the pool (a pool sized to the whole cluster starves them —
+    observed stall at num_cpus=4 with 4 actors); with ``parse_num_gpus`` also
+    no wider than the cluster's GPUs can place."""
+    import ray
+
+    resources = ray.cluster_resources() if ray.is_initialized() else {}
+    ncpus = int(resources.get("CPU", 8))
+    width = min(PARSE_CONCURRENCY, ncpus // 2, ncpus - 2)
+    if parse_num_gpus:
+        width = min(width, int(resources.get("GPU", 0) // parse_num_gpus))
+    return max(1, width)
+
+
 def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
-             parse_concurrency: int | None = None,
-             config_tag: str = "v1", checkpoints: str = "all",
-             config=None, extra_stages=(), parse_num_gpus: float = 0.0,
-             triples_shards: int = 0, parser_cls=None,
-             dedup_sort: bool | str = "auto") -> dict:
+             checkpoints: str = "all", config=None,
+             parse_num_gpus: float = 0.0, triples_shards: int = 0,
+             parser_cls=None, dedup_sort: bool | str = "auto") -> dict:
     """Run (or resume) the full pipeline; returns {stage: Dataset} handles of
     the materialized outputs plus run metadata under "_meta".
 
@@ -92,16 +108,13 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     ``config``: an :class:`..functions.cascade.ExtractionConfig` — rule
     flags/caps (SURVEY.md §2.8); part of the checkpoint fingerprint, so
     changing flags invalidates downstream stages.
-    ``extra_stages``: user stage hooks — callables ``Dataset -> Dataset``
-    applied to the triples stream after entity linking (the §2.8
-    stage-registration point).
 
     ``parser_cls``: a model-backed parser actor class (e.g.
-    :class:`..stages.parse.DDParserActor`) run as an actor pool of
-    ``parse_concurrency`` actors (default: half the cluster's CPUs, at most
-    ``PARSE_CONCURRENCY``) with ``parse_num_gpus`` each.  Both apply only
-    with ``parser_cls`` and are refused without it: the default template
-    parser runs as stateless tasks (:func:`..stages.parse.template_parse`).
+    :class:`..stages.parse.DDParserActor`) run as an actor pool with
+    ``parse_num_gpus`` GPUs per actor, sized by :func:`_parse_pool_width`.
+    ``parse_num_gpus`` is refused without ``parser_cls``: the default
+    template parser runs as stateless tasks
+    (:func:`..stages.parse.template_parse`).
 
     ``dedup_sort``: co-locate identical sentence texts before the parse
     stage so each batch's distinct-text parse and the per-worker extract
@@ -114,64 +127,57 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     reorders rows).
 
     ``triples_shards`` (minimal mode only): >0 splits the transcripts files
-    into that many shard groups, each processed and committed independently
-    under ``triples/shard-<k>/`` with its own lineage manifest — a preempted
-    job resumes MID-STAGE, skipping finished shards (at 100 TB this is the
-    unit of recovery; 0 = single streaming execution, fastest when the job
-    is expected to finish in one go)."""
+    into that many shard groups, each its own stage
+    ``triples/shard-<k>`` with its own lineage manifest — a preempted job
+    resumes MID-STAGE, skipping finished shards (at 100 TB this is the unit
+    of recovery; 0 = single streaming execution, fastest when the job is
+    expected to finish in one go).  The ``triples`` manifest then sums the
+    shards' extraction records."""
     import time as _time
 
     from ..functions.cascade import DEFAULT_CONFIG
 
     cfg = config or DEFAULT_CONFIG
-    if parser_cls is None and (parse_concurrency is not None
-                               or parse_num_gpus):
-        raise ValueError("parse_concurrency and parse_num_gpus size the "
-                         "parser_cls actor pool; the default template "
-                         "parser runs as stateless tasks")
-    if parse_concurrency is not None and parse_concurrency < 1:
-        raise ValueError(f"parse_concurrency must be >= 1 or None, "
-                         f"got {parse_concurrency!r}")
-    if parser_cls is not None and parse_concurrency is None:
-        # leave headroom for the task operators feeding/draining the pool —
-        # an actor pool sized to the whole cluster starves them (observed
-        # stall at num_cpus=4 with 4 actors)
-        try:
-            import ray
-
-            ncpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            ncpus = 8
-        parse_concurrency = max(1, min(PARSE_CONCURRENCY, ncpus // 2,
-                                       ncpus - 2))
+    if checkpoints not in ("all", "minimal"):
+        raise ValueError(f"checkpoints must be 'all' or 'minimal', got {checkpoints!r}")
+    if triples_shards < 0 or (triples_shards and checkpoints != "minimal"):
+        raise ValueError(f"triples_shards must be 0, or >0 with "
+                         f"checkpoints='minimal'; got {triples_shards!r} with "
+                         f"checkpoints={checkpoints!r}")
+    if dedup_sort not in (True, False, "auto"):
+        raise ValueError(f"dedup_sort must be True/False/'auto', "
+                         f"got {dedup_sort!r}")
+    if parse_num_gpus and parser_cls is None:
+        raise ValueError("parse_num_gpus sizes the parser_cls actor pool; "
+                         "the default template parser runs as stateless "
+                         "tasks")
     store = CheckpointStore(out_dir)
     in_files = parquet_files(transcripts_dir)
-    extra_tag = ",".join(getattr(s, "__name__", repr(s)) for s in extra_stages)
     parser_tag = getattr(parser_cls, "__name__", "") if parser_cls else ""
     base_fp = fingerprint_paths(
-        in_files,
-        extra=f"{config_tag}|{cfg!r}|{extra_tag}|{parser_tag}|ds={dedup_sort}")
+        in_files, extra=f"{cfg!r}|{parser_tag}|ds={dedup_sort}")
     ran: list[str] = []
     timings: dict[str, float] = {}
 
-    def stage(name: str, make, upstream_fp: str) -> str:
+    def stage(name: str, make, upstream_fp: str, metrics=None) -> str:
+        """Skip (resume), or reset, write, time and commit one stage.
+        ``make()`` returns the Dataset to write, or None when the stage's
+        rows are already committed by its shard stages."""
         fp = f"{upstream_fp}:{name}"
         if not (resume and store.is_complete(name, fp)):
             store.reset_metrics(name)
             t0 = _time.perf_counter()
             ds = make()
-            ds.write_parquet(store.stage_dir(name), mode="overwrite")
+            if ds is not None:
+                ds.write_parquet(store.stage_dir(name), mode="overwrite")
             timings[name] = round(_time.perf_counter() - t0, 3)
-            store.commit_stage(name, fp,
-                              metrics={"wall_sec": timings[name]})
+            store.commit_stage(name, fp, metrics={"wall_sec": timings[name],
+                                                  **(metrics or {})})
             ran.append(name)
         # downstream fingerprints chain through this stage's commit record, so
         # recomputing a stage invalidates everything after it
         manifest = store.read_manifest(name)
         return f"{fp}@{manifest['completed_at']}"
-
-    if checkpoints not in ("all", "minimal"):
-        raise ValueError(f"checkpoints must be 'all' or 'minimal', got {checkpoints!r}")
 
     def _sentences(src):
         return src.map_batches(explode_turns, batch_format="pyarrow")
@@ -207,9 +213,6 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                   .sort("__th") \
                   .map_batches(drop_hash, batch_format="pyarrow")
 
-    if dedup_sort not in (True, False, "auto"):
-        raise ValueError(f"dedup_sort must be True/False/'auto', "
-                         f"got {dedup_sort!r}")
     _dedup_decision: dict = {}
 
     def _use_dedup_sort() -> bool:
@@ -234,10 +237,10 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         kwargs = {"num_gpus": parse_num_gpus} if parse_num_gpus else {}
         return src.map_batches(
             parser_cls, batch_format="pyarrow",
-            batch_size=PARSE_BATCH_SIZE, concurrency=parse_concurrency,
-            **kwargs)
+            batch_size=PARSE_BATCH_SIZE,
+            concurrency=_parse_pool_width(parse_num_gpus), **kwargs)
 
-    def _triples(src, metrics_stage: str = "triples"):
+    def _triples(src, metrics_stage: str):
         # per-partition extraction-count metrics to the checkpoint store
         # (north-rule lineage contract; merged key-additively at commit like
         # the reference's merge_dict, merge_parsed_results.py:8-14)
@@ -261,12 +264,16 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
             emit_partition_metrics(metrics_dir, rec)
             return out
 
-        ds = src.map_batches(extract_with_config, batch_format="pyarrow")
-        for hook in extra_stages:
-            ds = hook(ds)
-        return ds
+        return src.map_batches(extract_with_config, batch_format="pyarrow")
 
     transcripts_cols = ["conv_id", "turn_idx", "text"]
+
+    def _fused_triples(paths, name: str):
+        """read -> explode_turns -> parse -> extract_with_config, one
+        streaming execution with no intermediate barriers."""
+        return _triples(_parses(_sentences(
+            _read(paths, columns=transcripts_cols))), name)
+
     if checkpoints == "all":
         fp = stage("sentences",
                    lambda: _sentences(_read(transcripts_dir,
@@ -275,63 +282,47 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         fp = stage("parses",
                    lambda: _parses(_read(store.stage_dir("sentences"))), fp)
         fp = stage("triples",
-                   lambda: _triples(_read(store.stage_dir("parses"))), fp)
+                   lambda: _triples(_read(store.stage_dir("parses")),
+                                    "triples"), fp)
     elif not triples_shards:
-        # fused: one streaming execution, no intermediate barriers
-        fp = stage(
-            "triples",
-            lambda: _triples(_parses(_sentences(
-                _read(transcripts_dir, columns=transcripts_cols)))),
-            f"{base_fp}:fused")
+        fp = stage("triples",
+                   lambda: _fused_triples(transcripts_dir, "triples"),
+                   f"{base_fp}:fused")
     else:
-        # fused + sharded: independent shard commits -> mid-stage resume
+        # one stage per shard group -> mid-stage resume; the triples commit
+        # chains through every shard's commit record
         fp_base = f"{base_fp}:fused:shards{triples_shards}"
-        fp = f"{fp_base}:triples"
-        if not (resume and store.is_complete("triples", fp)):
-            t0 = _time.perf_counter()
-            groups: list[list[str]] = [[] for _ in range(triples_shards)]
-            for i, f in enumerate(in_files):
-                groups[i % triples_shards].append(f)
-            # clear layouts from other configurations: top-level parquet from
-            # a fused run, shard dirs beyond the current shard count
-            import glob as _glob
+        shards = {}
+        for k in range(triples_shards):
+            files = in_files[k::triples_shards]
+            if files:
+                name = f"triples/shard-{k:04d}"
+                shards[name] = stage(
+                    name, lambda f=files, n=name: _fused_triples(f, n),
+                    f"{fp_base}:{fingerprint_paths(files)}")
+        extraction: dict = {}
+        for name in shards:
+            rec = store.read_manifest(name)["metrics"].get("extraction", {})
+            for mk, mv in rec.items():
+                extraction[mk] = extraction.get(mk, 0) + mv
+
+        def drop_other_layouts():
+            # top-level parquet from a fused run, shard dirs of another count
             import shutil as _shutil
 
             sdir = store.stage_dir("triples")
-            for stale in _glob.glob(os.path.join(sdir, "*.parquet")):
-                os.remove(stale)
-            for d in _glob.glob(os.path.join(sdir, "shard-*")):
-                if int(os.path.basename(d).split("-")[1]) >= triples_shards:
-                    _shutil.rmtree(d, ignore_errors=True)
-            for k, files in enumerate(groups):
-                if not files:
-                    continue
-                shard_name = f"triples/shard-{k:04d}"
-                shard_fp = f"{fp_base}:{fingerprint_paths(files)}"
-                if resume and store.is_complete(shard_name, shard_fp):
-                    continue
-                store.reset_metrics(shard_name)   # only THIS shard's metrics
-                ds = _triples(_parses(_sentences(
-                    _read(files, columns=transcripts_cols))),
-                    metrics_stage=shard_name)
-                ds.write_parquet(store.stage_dir(shard_name), mode="overwrite")
-                store.commit_stage(shard_name, shard_fp)
-            timings["triples"] = round(_time.perf_counter() - t0, 3)
-            from ..state.lineage import merge_metric_records
+            for entry in os.listdir(sdir):
+                if entry.endswith(".parquet"):
+                    os.remove(os.path.join(sdir, entry))
+                elif (entry.startswith("shard-")
+                      and f"triples/{entry}" not in shards):
+                    _shutil.rmtree(os.path.join(sdir, entry))
 
-            merged = {}
-            for k in range(triples_shards):
-                rec = merge_metric_records(
-                    store.metrics_dir(f"triples/shard-{k:04d}"))
-                for mk, mv in rec.items():
-                    merged[mk] = merged.get(mk, 0) + mv
-            store.commit_stage("triples", fp,
-                               metrics={"wall_sec": timings["triples"],
-                                        "shards": triples_shards,
-                                        "extraction": merged})
-            ran.append("triples")
-        manifest = store.read_manifest("triples")
-        fp = f"{fp}@{manifest['completed_at']}"
+        fp = stage("triples", drop_other_layouts,
+                   f"{fp_base}:"
+                   + fingerprint_paths([], extra="|".join(shards.values())),
+                   metrics={"shards": triples_shards,
+                            "extraction": extraction})
 
     edges_fp = stage(
         "edges",

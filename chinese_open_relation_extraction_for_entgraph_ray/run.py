@@ -30,9 +30,10 @@ def main(argv=None) -> int:
     ap.add_argument("--no-resume", action="store_true",
                     help="recompute every stage even if checkpoints match")
     ap.add_argument("--triples-shards", type=int, default=0,
-                    help="minimal mode: split the extraction stage into N "
-                         "independently-committed shards (mid-stage resume "
-                         "granularity for long jobs)")
+                    help="with --checkpoints minimal: split the extraction "
+                         "stage into N independently-committed shards "
+                         "(mid-stage resume granularity for long jobs); "
+                         "refused with --checkpoints all or N < 0")
     args = ap.parse_args(argv)
 
     import ray

@@ -108,8 +108,9 @@ def fast_split_table(lines: list, id_field: str,
     this host — the CPU saving is the scale argument, not local wall.
     Returns None when the block needs the general row path
     (missing/odd fields, non-string elements, null ids, several objects
-    on one line), whose semantics are the dialect reference.  Ray already
-    parallelizes across blocks, so the JSON reader runs single-threaded."""
+    on one line, a BOM-prefixed line), whose semantics are the dialect
+    reference.  Ray already parallelizes across blocks, so the JSON reader
+    runs single-threaded."""
     import io
 
     import numpy as np
@@ -119,6 +120,8 @@ def fast_split_table(lines: list, id_field: str,
     lines = [ln for ln in lines if ln and ln.strip()]
     if not lines:
         return _rows_to_table([])
+    if any(ln.startswith("\ufeff") for ln in lines):
+        return None      # the row path's json.loads rejects a BOM line
     try:
         tbl = pajson.read_json(
             io.BytesIO(("\n".join(lines)).encode("utf-8")),

@@ -8,10 +8,11 @@ rule requires:
 - mention -> entity linking via a broadcast-style gazetteer lookup (static
   alias map shipped with the code; a large gazetteer would be ``ray.put`` once
   and fetched in ``__init__``), with containment fallback for coarse spans;
-- (subj, pred, obj) triple dedup as a salted two-phase groupby-aggregate:
-  per-batch partial counts (combiner) -> groupby(salt + key) -> groupby(key),
-  so a hot key (e.g. a copular predicate over a celebrity entity) is first
-  reduced in parallel across NUM_SALTS sub-groups before the final exchange.
+- (subj, pred, obj) triple dedup as a combiner + sorted-block groupby:
+  per-batch partial counts bound each key's fan-in by the block count, and
+  above SALT_BLOCK_THRESHOLD blocks a salted round first reduces a hot key
+  (e.g. a copular predicate over a celebrity entity) in parallel across
+  NUM_SALTS sub-groups before the final exchange.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import pyarrow.compute as pc
 
 from ..functions.lexicon import ENTITY_ALIASES, NER_GAZETTEER
 
+# rel kinds that become edges
+EDGE_KINDS = ("fine", "amend_fine")
 NUM_SALTS = 16
 # Engage the extra salted exchange only when the per-key fan-in (= number of
 # combined blocks, since the combiner emits each key at most once per block)
@@ -45,17 +48,6 @@ def combine_batch_size() -> int:
         ncpus = 32
     return max(65536, 2_097_152 // max(ncpus, 1))
 
-
-def stable_salt(sample_conv_id: str) -> int:
-    """Process-stable salt for the hot-key pre-aggregation round.
-
-    Must vary WITHIN a (subj, pred, obj) key so one hot key is split across
-    NUM_SALTS sub-groups — we derive it from the row-varying provenance
-    column, not from the key (``hash()`` is PYTHONHASHSEED-dependent; crc32
-    is not)."""
-    import zlib
-
-    return zlib.crc32(sample_conv_id.encode("utf-8")) % NUM_SALTS
 
 _CANONICAL = {s: s for s in NER_GAZETTEER}
 _CANONICAL.update(ENTITY_ALIASES)
@@ -94,84 +86,73 @@ def link_entities(batch: pa.Table) -> pa.Table:
 EDGE_KEYS = ["subj", "pred", "obj", "subj_ent", "obj_ent"]
 
 
+_PARTIAL_SCHEMA = pa.schema(
+    [(c, pa.string()) for c in EDGE_KEYS]
+    + [("sample_conv_id", pa.string()), ("sample_turn_idx", pa.int32()),
+       ("weight", pa.int64())])
+
+
 def partial_edge_counts(batch: pa.Table) -> pa.Table:
     """Per-batch combiner: collapse the batch to one row per distinct triple
-    with a partial weight + a sample provenance, and a salt for the first
-    aggregation round."""
+    with a partial weight + a sample provenance."""
     if batch.num_rows == 0:
-        return _empty_partial()
-    batch = batch.set_column(
-        batch.schema.get_field_index("subj"), "subj",
-        pc.fill_null(batch.column("subj"), ""))
-    batch = batch.set_column(
-        batch.schema.get_field_index("obj"), "obj",
-        pc.fill_null(batch.column("obj"), ""))
-    batch = batch.set_column(
-        batch.schema.get_field_index("subj_ent"), "subj_ent",
-        pc.fill_null(batch.column("subj_ent"), ""))
-    batch = batch.set_column(
-        batch.schema.get_field_index("obj_ent"), "obj_ent",
-        pc.fill_null(batch.column("obj_ent"), ""))
+        return _PARTIAL_SCHEMA.empty_table()
+    for col in ("subj", "obj", "subj_ent", "obj_ent"):
+        batch = batch.set_column(batch.schema.get_field_index(col), col,
+                                 pc.fill_null(batch.column(col), ""))
     agg = batch.group_by(EDGE_KEYS).aggregate(
         [("conv_id", "min"), ("turn_idx", "min"), ("subj", "count")])
-    cols = {
-        "subj": agg.column("subj"), "pred": agg.column("pred"),
-        "obj": agg.column("obj"), "subj_ent": agg.column("subj_ent"),
-        "obj_ent": agg.column("obj_ent"),
-        "sample_conv_id": agg.column("conv_id_min"),
-        "sample_turn_idx": agg.column("turn_idx_min"),
-        "weight": agg.column("subj_count").cast(pa.int64()),
-    }
-    salt = [stable_salt(c) for c in cols["sample_conv_id"].to_pylist()]
-    cols["salt"] = pa.array(salt, pa.int32())
-    return pa.Table.from_arrays(list(cols.values()), names=list(cols.keys()))
+    return pa.Table.from_arrays(
+        [agg.column(c) for c in EDGE_KEYS]
+        + [agg.column("conv_id_min"), agg.column("turn_idx_min"),
+           agg.column("subj_count").cast(pa.int64())],
+        names=_PARTIAL_SCHEMA.names)
 
 
-def _empty_partial() -> pa.Table:
-    schema = pa.schema([
-        ("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string()),
-        ("subj_ent", pa.string()), ("obj_ent", pa.string()),
-        ("sample_conv_id", pa.string()), ("sample_turn_idx", pa.int32()),
-        ("weight", pa.int64()), ("salt", pa.int32()),
-    ])
-    return pa.Table.from_arrays([pa.array([], f.type) for f in schema], schema=schema)
+def _add_salt(batch: pa.Table) -> pa.Table:
+    """Salt for the hot-key round: it must vary WITHIN a key, so it hashes the
+    row-varying provenance column (polars' seeded hash is process-stable)."""
+    import numpy as np
+    import polars as pl
+
+    hs = pl.from_arrow(batch.column("sample_conv_id").combine_chunks()) \
+           .hash(seed=0).to_numpy()
+    return batch.append_column(
+        "salt", pa.array((hs % NUM_SALTS).astype(np.int32), pa.int32()))
 
 
-def aggregate_edges(triples_ds, rel_kinds=("fine", "amend_fine"),
-                    salting: bool | str = "auto"):
-    """triples Dataset -> canonical edges Dataset.
+def aggregate_edges(triples_ds):
+    """triples Dataset -> canonical edges Dataset (``EDGE_KINDS`` triples).
 
-    Shuffle plan (two-phase, skew-aware):
+    Shuffle plan (skew-aware):
 
     1. **Map-side combiner** (no shuffle): each ~64k-row batch collapses to
        one row per distinct triple via ``pa.Table.group_by`` — a hot key
        reaches the exchange at most once per block, so reducer fan-in per key
        is bounded by the block count, not the row count.
-    2. **Salted pre-exchange** (only when block-count fan-in is large —
-       ``salting="auto"`` engages it above SALT_BLOCK_THRESHOLD input blocks,
-       i.e. the 100-TB regime, where a single hot copular predicate would
-       otherwise funnel millions of partial rows into one reducer): groupby
-       (salt + key) with a row-varying salt partially sums each hot key
-       across NUM_SALTS sub-groups.
+    2. **Salted pre-exchange**, only above SALT_BLOCK_THRESHOLD input blocks
+       (the 100-TB regime, where a single hot copular predicate would
+       otherwise funnel millions of partial rows into one reducer): a salt
+       hashed from the row-varying ``sample_conv_id`` is added, and
+       groupby(salt + key) partially sums each hot key across NUM_SALTS
+       sub-groups.
     3. **Final exchange**: groupby(key) sums the ≤NUM_SALTS (salted) or
        ≤#blocks (unsalted) partials per key.
 
     Keys are the triple surfaces; entity ids ride along (functions of the
-    key); provenance via ``min``.  The exchange itself runs through
+    key); provenance via ``min``.  Each exchange runs through
     :func:`..groupagg.sorted_hash_aggregate` — a numeric-key sort plus
-    vectorized pyarrow block aggregation, which is also inherently hot-key
-    safe (each key reduced once per block, then once over its <= #blocks
-    partials).  ``salting=True`` adds the classic salted pre-exchange on top
-    for the extreme-fan-in regime; "auto" engages it above
-    SALT_BLOCK_THRESHOLD input blocks.
+    vectorized pyarrow block aggregation, itself hot-key safe (each key
+    reduced once per block, then once over its <= #blocks partials).  The
+    salting decision is taken on the driver when the plan is built.
     """
     from .groupagg import sorted_hash_aggregate
 
-    kinds = sorted(set(rel_kinds))
+    kinds = pa.array(EDGE_KINDS)
 
     def filtered_partials(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_in(batch.column("rel_kind"),
-                                      value_set=pa.array(kinds)))
+                                      value_set=kinds))
         return partial_edge_counts(batch)
 
     partials = triples_ds.map_batches(filtered_partials,
@@ -179,21 +160,19 @@ def aggregate_edges(triples_ds, rel_kinds=("fine", "amend_fine"),
                                       batch_size=combine_batch_size())
     agg_spec = [("weight", "sum"), ("sample_conv_id", "min"),
                 ("sample_turn_idx", "min")]
-    if salting == "auto":
-        try:
-            n_blocks = triples_ds.num_blocks()
-        except Exception:
-            n_blocks = 0
-        salting = bool(n_blocks and n_blocks > SALT_BLOCK_THRESHOLD)
-    if salting:
-        partials = sorted_hash_aggregate(partials, ["salt"] + EDGE_KEYS,
-                                         agg_spec)
+    try:
+        n_blocks = triples_ds.num_blocks()
+    except Exception:
+        n_blocks = 0
+    if n_blocks > SALT_BLOCK_THRESHOLD:
+        partials = sorted_hash_aggregate(
+            partials.map_batches(_add_salt, batch_format="pyarrow"),
+            ["salt"] + EDGE_KEYS, agg_spec)
     return sorted_hash_aggregate(partials, EDGE_KEYS, agg_spec)
 
 
 def aggregate_entities(edges_ds):
     """Edges -> entity table: canonical surface + total mention weight."""
-    
 
     def explode_mentions(batch: pa.Table) -> pa.Table:
         ents, weights = [], []

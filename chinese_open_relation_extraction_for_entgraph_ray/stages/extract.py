@@ -128,32 +128,6 @@ _HIST_BUCKETS = {
     "vcmp::": "vcmp_bucket",
 }
 
-_COUNTER_MEMO: dict = {}
-_COUNTER_MEMO_MAX = _EXTRACT_MEMO_MAX
-
-
-def _sentence_hist_counters(words, heads, deprels,
-                            config: ExtractionConfig) -> list[tuple]:
-    """[(bucket, token, n)] for one sentence — memoized per worker like the
-    triple cascade (same duplicate-heavy-corpus argument)."""
-    memo = _COUNTER_MEMO.setdefault(config, {})
-    key = "\x00".join(words) + "|" + ",".join(map(str, heads)) \
-        + "|" + ",".join(deprels)
-    rows = memo.get(key)
-    if rows is None:
-        counters: dict = {}
-        process_sentence({"word": words, "head": heads, "deprel": deprels},
-                         pos_map_for_words(words), counters, config=config)
-        rows = []
-        for ck, n in counters.items():
-            for prefix, bucket in _HIST_BUCKETS.items():
-                if ck.startswith(prefix):
-                    rows.append((bucket, ck[len(prefix):], n))
-                    break
-        if len(memo) < _COUNTER_MEMO_MAX:
-            memo[key] = rows
-    return rows
-
 
 def filter_histograms(parses_ds, config: ExtractionConfig = DEFAULT_CONFIG):
     """The reference's sorted stop-word / V_CMP-complement histograms
@@ -165,13 +139,29 @@ def filter_histograms(parses_ds, config: ExtractionConfig = DEFAULT_CONFIG):
     from .groupagg import auto_hash_aggregate
 
     def batch_counts(batch: pa.Table) -> pa.Table:
+        # counters are a pure function of the parse: run the cascade once per
+        # distinct parse of the batch, scaled by its occurrence count
+        codes = pc.dictionary_encode(_parse_keys(batch)).indices \
+                  .to_numpy(zero_copy_only=False)
+        _, first_row, times_seen = np.unique(codes, return_index=True,
+                                             return_counts=True)
+        parses = batch.take(pa.array(first_row))
         agg: dict[tuple, int] = {}
-        for words, heads, deprels in zip(batch.column("words").to_pylist(),
-                                         batch.column("heads").to_pylist(),
-                                         batch.column("deprels").to_pylist()):
-            for bucket, token, n in _sentence_hist_counters(
-                    words, heads, deprels, config):
-                agg[(bucket, token)] = agg.get((bucket, token), 0) + n
+        for times, words, heads, deprels in zip(
+                times_seen.tolist(),
+                parses.column("words").to_pylist(),
+                parses.column("heads").to_pylist(),
+                parses.column("deprels").to_pylist()):
+            counters: dict = {}
+            process_sentence({"word": words, "head": heads,
+                              "deprel": deprels},
+                             pos_map_for_words(words), counters, config=config)
+            for ck, n in counters.items():
+                for prefix, bucket in _HIST_BUCKETS.items():
+                    if ck.startswith(prefix):
+                        key = (bucket, ck[len(prefix):])
+                        agg[key] = agg.get(key, 0) + n * times
+                        break
         keys = list(agg)
         return pa.Table.from_arrays(
             [pa.array([k[0] for k in keys], pa.string()),

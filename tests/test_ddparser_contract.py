@@ -150,7 +150,7 @@ def test_build_kg_drives_ddparser_actor_with_gpu_resource(tmp_path):
         gpu = rows(build_kg(tdir, {str(tmp_path / "kg_gpu")!r},
                             resume=False, checkpoints="minimal",
                             dedup_sort=False, parser_cls=DDParserActor,
-                            parse_num_gpus=0.5, parse_concurrency=2))
+                            parse_num_gpus=0.5))
         assert len(base) > 0 and base == gpu, (len(base), len(gpu))
         print("IDENTICAL", len(base))
         ray.shutdown()

@@ -188,3 +188,21 @@ def test_link_entities_links_each_row():
     assert any(got.column("subj_ent").to_pylist())
     empty = link_entities(batch.slice(0, 0))
     assert empty.column_names == ["subj", "obj", "subj_ent", "obj_ent"]
+
+
+def test_filter_histograms_count_every_repeat(parses, ray_session):
+    """Histogram counters come from one cascade run per distinct parse of a
+    batch, scaled by its repeats: equal to a per-row recount."""
+    import ray.data as rd
+
+    counters: dict = {}
+    for r in parses.to_pylist():
+        process_sentence(
+            {"word": r["words"], "head": r["heads"], "deprel": r["deprels"]},
+            pos_map_for_words(r["words"]), counters)
+    want = {(bucket, ck[len(prefix):]): n for ck, n in counters.items()
+            for prefix, bucket in extract._HIST_BUCKETS.items()
+            if ck.startswith(prefix)}
+    got = extract.filter_histograms(rd.from_arrow(parses)).take_all()
+    assert {(r["bucket"], r["token"]): r["n"] for r in got} == want
+    assert max(want.values()) > 1

@@ -51,8 +51,7 @@ def test_actor_crash_mid_parse_recovers_identically(ray_session, tmp_path):
     crashed = _triples_key(build_kg(tdir, str(tmp_path / "kg_crash"),
                                     resume=False, checkpoints="minimal",
                                     dedup_sort=False,
-                                    parser_cls=CrashOnceParser,
-                                    parse_concurrency=2))
+                                    parser_cls=CrashOnceParser))
     assert os.path.exists(sentinel), "fault was never injected"
     assert len(base) > 0
     assert base == crashed, (len(base), len(crashed))

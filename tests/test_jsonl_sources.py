@@ -6,6 +6,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 SENTS = ["张伟访问数据。", "李娜发布论文。", "它运行成功。"]
 
 
@@ -217,3 +219,17 @@ def test_jsonl_split_fast_path_parity(ray_session, tmp_path, monkeypatch):
     two = json.dumps({"conv_id": "a", "splitted_text": SENTS[:1]},
                      ensure_ascii=False)
     assert fast([two + " " + two]) is None
+
+    # a BOM-prefixed line is rejected by json.loads on the row path, so the
+    # fast path bails on it wherever it sits, and both settings raise
+    lines = clean.read_text(encoding="utf8").splitlines()
+    for pos in (0, 1):
+        bom = tmp_path / f"bom{pos}.jsonl"
+        bom.write_text("\n".join(ln if i != pos else "\ufeff" + ln
+                                 for i, ln in enumerate(lines)) + "\n",
+                       encoding="utf8")
+        assert fast(bom.read_text(encoding="utf8").splitlines()) is None
+        for on in (True, False):
+            monkeypatch.setattr(jsonl, "FAST_SPLIT_PATH", on)
+            with pytest.raises(Exception, match="BOM"):
+                read(bom)

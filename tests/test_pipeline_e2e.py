@@ -102,13 +102,23 @@ def test_triples_manifest_counts_memo_work(kg):
     assert ext["n_triples"] == kg["triples"].count()
 
 
-@pytest.mark.parametrize("kwargs", [{"parse_concurrency": 2},
-                                    {"parse_num_gpus": 0.5}])
-def test_parse_pool_sizing_needs_parser_cls(kwargs, tmp_path):
-    """The pool-sizing arguments only size a ``parser_cls`` actor pool; with
-    the default template parser they would be silently ignored, so they are
+def test_parse_pool_sizing_needs_parser_cls(tmp_path):
+    """``parse_num_gpus`` only sizes a ``parser_cls`` actor pool; with the
+    default template parser it would be silently ignored, so it is
     refused."""
     with pytest.raises(ValueError, match="parser_cls"):
+        build_kg(str(tmp_path / "in"), str(tmp_path / "kg"),
+                 parse_num_gpus=0.5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"checkpoints": "all", "triples_shards": 2},
+    {"checkpoints": "minimal", "triples_shards": -1}])
+def test_triples_shards_refused_where_it_cannot_apply(kwargs, tmp_path):
+    """Shards split the fused minimal-mode stage only: with every stage
+    checkpointed they would be silently ignored, and a negative count has
+    no meaning."""
+    with pytest.raises(ValueError, match="triples_shards"):
         build_kg(str(tmp_path / "in"), str(tmp_path / "kg"), **kwargs)
 
 
@@ -187,11 +197,42 @@ def test_sharded_triples_mid_stage_resume(ray_session):
     os.remove(os.path.join(sdir, "triples/_lineage.json"))
     shutil.rmtree(os.path.join(sdir, "triples/shard-0001"))
     r2 = build_kg(TDIR, sdir, checkpoints="minimal", triples_shards=3)
+    # only the missing shard ran, then the stage commit and its downstream
+    assert r2["_meta"]["ran_stages"] == [
+        "triples/shard-0001", "triples", "edges", "entities"]
     assert r2["triples"].count() == len(a)
     m = json.load(open(os.path.join(sdir, "triples/_lineage.json")))
     # merged metrics still cover every shard, not just the recomputed one
     assert m["metrics"]["extraction"]["n_triples"] == len(a)
     assert m["metrics"]["shards"] == 3
+
+
+def test_sharded_manifest_ignores_stale_fused_metrics(ray_session):
+    """A sharded build into an out_dir holding a fused build's triples
+    metrics records the sharded stage's own counts, not the stale ones."""
+    import json
+
+    from chinese_open_relation_extraction_for_entgraph_ray.functions.cascade import (
+        ExtractionConfig,
+    )
+
+    sdir = "/tmp/entgraph_test/kg_fused_then_sharded"
+    shutil.rmtree(sdir, ignore_errors=True)
+    fewer = ExtractionConfig(amend_pob=False, amend_vv=False,
+                             amend_att_obj=False)
+    n_fused = build_kg(TDIR, sdir, checkpoints="minimal",
+                       config=fewer)["triples"].count()
+    sharded = build_kg(TDIR, sdir, checkpoints="minimal", triples_shards=3)
+    n = sharded["triples"].count()
+    assert n != n_fused      # else stale counts would pass unnoticed
+    with open(os.path.join(sdir, "triples/_lineage.json")) as fp:
+        ext = json.load(fp)["metrics"]["extraction"]
+    assert ext["n_triples"] == n
+    # fewer shards: the extra shard dir goes, the rows stay the same
+    assert build_kg(TDIR, sdir, checkpoints="minimal",
+                    triples_shards=2)["triples"].count() == n
+    assert sorted(e for e in os.listdir(os.path.join(sdir, "triples"))
+                  if e.startswith("shard-")) == ["shard-0000", "shard-0001"]
 
 
 def test_transient_task_failure_is_retried(ray_session):
