@@ -6,9 +6,8 @@ transcripts.parquet
      | parser_cls            (actor-pool map_batches; warm model parser)
   -> extract_linked          (stateless map_batches; rule cascade +     [triples]
                               gazetteer linking once per distinct parse)
-  -> aggregate_edges         (combiner + sorted-block groupby, salted   [edges]
-                              above SALT_BLOCK_THRESHOLD blocks)
-  -> aggregate_entities      (groupby entity)                           [entities]
+  -> aggregate_edges         (combiner + auto_hash_aggregate)           [edges]
+  -> aggregate_entities      (mention explode + auto_hash_aggregate)    [entities]
 
 Every stage materializes to Parquet under ``out_dir`` with a lineage manifest
 (``state/lineage.py``); a resumed run skips completed stages.  The per-stage
@@ -16,10 +15,11 @@ checkpoints double as the reference's ``--ready_ddp`` contract: downstream
 stages re-read ``parses`` instead of re-parsing (dudepparse.py:1891-1897).
 
 Scale notes (100 TB / multi-node):
-- the only all-to-all exchanges are the two edge/entity group-bys, which run
-  over batch-level partial counts (the combiner collapses each ~10k-row batch
-  to distinct triples first), salted across NUM_SALTS sub-groups above
-  SALT_BLOCK_THRESHOLD input blocks to spread a hot key;
+- the only all-to-all exchanges are the two edge/entity group-bys, both
+  through ``groupagg.auto_hash_aggregate``: it coalesces the stream into
+  combine_batch_size()-row batches and collapses each to distinct keys
+  before the exchange, so a hot key reaches it at most once per batch and
+  the exchange's partition count tracks rows, not input blocks;
 - reads prune to the columns each stage needs;
 - everything else is embarrassingly parallel map_batches with streaming
   execution — no driver-side loops, no full materialization.

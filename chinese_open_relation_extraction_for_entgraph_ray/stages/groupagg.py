@@ -19,6 +19,10 @@ once over <= #blocks partials.
 Keys are hashed to 128 bits (two int64 columns) so key collisions stay
 negligible even at billions of distinct groups; the original key columns ride
 along via ``min`` (constant within a hash group).
+
+:func:`auto_hash_aggregate`, the callers' entry point, owns the one
+robustness rule of the exchange: coalesce before it (BASELINE.md, "KG
+aggregate plan robustness": this beat salting a hot key at 600/1200 blocks).
 """
 
 from __future__ import annotations
@@ -153,14 +157,12 @@ def sorted_hash_aggregate(ds, key_cols: list[str],
     for _, fn in agg_spec:
         if fn not in ("sum", "min", "max"):
             raise ValueError(f"non-reaggregatable fn {fn!r}")
-    # second-pass spec re-aggregates the already-renamed partials
-    respec = [(c, fn) for c, fn in agg_spec]
 
     def block_agg(batch: pa.Table) -> pa.Table:
         return _split_boundary(_pa_aggregate(batch, key_cols, agg_spec))
 
     def merge_boundary(batch: pa.Table) -> pa.Table:
-        return _pa_aggregate(batch, key_cols, respec)
+        return _pa_aggregate(batch, key_cols, agg_spec)
 
     out_cols = list(key_cols) + [c for c, _ in agg_spec]
 
@@ -182,6 +184,18 @@ def sorted_hash_aggregate(ds, key_cols: list[str],
     return interior.union(boundary)
 
 
+def combine_batch_size() -> int:
+    """Rows per pre-combine batch, adapted to cluster width: few CPUs ->
+    bigger batches (more in-batch dedup, less exchange volume); many CPUs ->
+    smaller batches so the combiner map has ~2 tasks per core (measured:
+    65536 best at 32 CPUs, 262144 best at 8 CPUs on the sf0.1 corpus)."""
+    import ray
+
+    ncpus = (int(ray.cluster_resources().get("CPU", 32))
+             if ray.is_initialized() else 32)
+    return max(65536, 2_097_152 // max(ncpus, 1))
+
+
 # Below this many observed partial-aggregate rows, skip the global sort and
 # reduce the partials on one node — a single pyarrow hash aggregation over
 # <=500k rows is milliseconds, while the Ray sort exchange costs ~1-2 s of
@@ -190,20 +204,22 @@ AUTO_SMALL_PARTIALS = 500_000
 
 
 def auto_hash_aggregate(ds, key_cols: list[str],
-                        agg_spec: list[tuple[str, str]],
-                        small_partials: int = AUTO_SMALL_PARTIALS):
+                        agg_spec: list[tuple[str, str]]):
     """Group-aggregate with OBSERVED-cardinality dispatch (VERDICT r2 #3:
     decide on an estimated group count, not a key-name allowlist).
 
-    Always pre-combines per block first (pyarrow hash aggregation inside
-    map_batches — the combiner), which bounds the exchange at one row per
-    (block, distinct key) regardless of duplication.  The materialized
-    partial stream's row count is an upper bound on the group count:
+    Always pre-combines first (pyarrow hash aggregation inside map_batches
+    — the combiner) over :func:`combine_batch_size`-row batches, coalescing
+    small input blocks: the exchange sees one row per (batch, distinct key)
+    in ~rows / combine_batch_size() blocks, however fragmented the input,
+    so a hot key needs no salting.  The materialized partial stream's row
+    count is an upper bound on the group count:
 
-    - ``<= small_partials`` (low cardinality — e.g. hourly windows, whose
-      key count grows with time span, not data size): ONE repartition(1) +
-      final pyarrow merge.  No sort exchange at all — cheaper than both the
-      builtin groupby and the sorted-block path at this size.
+    - ``<= AUTO_SMALL_PARTIALS`` (low cardinality — e.g. hourly windows,
+      whose key count grows with time span, not data size): ONE
+      repartition(1) + final pyarrow merge.  No sort exchange at all —
+      cheaper than both the builtin groupby and the sorted-block path at
+      this size.
     - otherwise (high cardinality — keys ~ rows): the sorted-block path of
       :func:`sorted_hash_aggregate` over the partials.
 
@@ -212,24 +228,21 @@ def auto_hash_aggregate(ds, key_cols: list[str],
     for _, fn in agg_spec:
         if fn not in ("sum", "min", "max"):
             raise ValueError(f"non-reaggregatable fn {fn!r}")
-    respec = [(c, fn) for c, fn in agg_spec]
     out_cols = list(key_cols) + [c for c, _ in agg_spec]
 
     def precombine(batch: pa.Table) -> pa.Table:
         return _pa_aggregate(_add_key_hash(batch, key_cols), key_cols,
                              agg_spec)
 
-    partials = ds.map_batches(precombine,
-                              batch_format="pyarrow").materialize()
-    if partials.count() <= small_partials:
-        merged = (partials.repartition(1)
-                  .map_batches(lambda b: _pa_aggregate(b, key_cols, respec),
-                               batch_format="pyarrow", batch_size=None))
-        return merged.map_batches(lambda b: b.select(out_cols),
-                                  batch_format="pyarrow")
+    partials = ds.map_batches(precombine, batch_format="pyarrow",
+                              batch_size=combine_batch_size()).materialize()
+    if partials.count() <= AUTO_SMALL_PARTIALS:
+        return partials.repartition(1).map_batches(
+            lambda b: _pa_aggregate(b, key_cols, agg_spec).select(out_cols),
+            batch_format="pyarrow", batch_size=None)
     # high cardinality: partials already carry the hash columns, but
     # re-aggregating through sorted_hash_aggregate keeps one audited path
     return sorted_hash_aggregate(
         partials.map_batches(lambda b: b.select(out_cols),
                              batch_format="pyarrow"),
-        key_cols, respec)
+        key_cols, agg_spec)

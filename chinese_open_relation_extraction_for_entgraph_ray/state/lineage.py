@@ -20,11 +20,13 @@ import time
 
 
 def fingerprint_paths(paths: list[str], extra: str = "") -> str:
-    """Stable fingerprint of input files (path, size, mtime) + config."""
+    """Stable fingerprint of input files (path, size, mtime in ns) + config.
+    Nanoseconds, not seconds: a same-size rewrite within one second must
+    change it, or a resume reuses stages built from the old contents."""
     h = hashlib.sha256()
     for p in sorted(paths):
         st = os.stat(p)
-        h.update(f"{p}|{st.st_size}|{int(st.st_mtime)}".encode())
+        h.update(f"{p}|{st.st_size}|{st.st_mtime_ns}".encode())
     h.update(extra.encode())
     return h.hexdigest()[:16]
 

@@ -1,10 +1,13 @@
-"""aggregate_edges: the salted hot-key round against the unsalted plan and a
-single-process group-by."""
+"""aggregate_edges / aggregate_entities through the one group-aggregate:
+a planted hot key against a single-process group-by on both dispatch sides,
+and the coalescing of many small blocks before the exchange."""
 
+import math
 import random
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 
 from chinese_open_relation_extraction_for_entgraph_ray.stages import (
     canonicalize,
@@ -60,8 +63,21 @@ def _edges(ds) -> list[tuple]:
                   for r in ds.take_all())
 
 
-def test_salted_round_matches_unsalted_and_reference(ray_session,
-                                                     monkeypatch):
+def _entities_reference(edges: list[tuple]) -> list[tuple]:
+    total: dict = {}
+    for e in edges:
+        for ent in (e[3], e[4]):
+            if ent:
+                total[ent] = total.get(ent, 0) + e[5]
+    return sorted(total.items())
+
+
+@pytest.mark.parametrize("small_partials", [groupagg.AUTO_SMALL_PARTIALS, 0])
+def test_hot_key_edges_match_reference(ray_session, monkeypatch,
+                                       small_partials):
+    """Half of the fine rows carry one key; edges and entities equal the
+    single-process group-by on the no-sort path and on the sorted-block
+    path."""
     import ray.data as rd
 
     blocks = _triples()
@@ -71,37 +87,54 @@ def test_salted_round_matches_unsalted_and_reference(ray_session,
                  for b in blocks)
     assert len(hot) == 1 and 0.4 < hot[0][5] / n_fine < 0.6
 
-    rounds = []
+    exchanges = []
     real = groupagg.sorted_hash_aggregate
 
     def spy(ds, key_cols, agg_spec):
-        rounds.append(list(key_cols))
+        exchanges.append(list(key_cols))
         return real(ds, key_cols, agg_spec)
 
     monkeypatch.setattr(groupagg, "sorted_hash_aggregate", spy)
-    # small combiner batches: the hot key reaches the exchange once per
-    # batch, with a batch-varying sample_conv_id and so varying salts
+    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", small_partials)
+    # small batches: the hot key reaches the exchange from several blocks
+    monkeypatch.setattr(groupagg, "combine_batch_size", lambda: 100)
     monkeypatch.setattr(canonicalize, "combine_batch_size", lambda: 100)
-    ds = rd.from_arrow(blocks)
-    assert ds.num_blocks() == N_BLOCKS
-
-    unsalted = _edges(canonicalize.aggregate_edges(ds))
-    assert rounds == [canonicalize.EDGE_KEYS]
-
-    rounds.clear()
-    monkeypatch.setattr(canonicalize, "SALT_BLOCK_THRESHOLD", 0)
-    salted = _edges(canonicalize.aggregate_edges(ds))
-    assert rounds == [["salt"] + canonicalize.EDGE_KEYS,
-                      canonicalize.EDGE_KEYS]
-
-    assert salted == unsalted == ref
+    edges = canonicalize.aggregate_edges(rd.from_arrow(blocks)).materialize()
+    assert _edges(edges) == ref
+    entities = sorted((r["entity_id"], r["mention_count"]) for r in
+                      canonicalize.aggregate_entities(edges).take_all())
+    assert entities == _entities_reference(ref)
+    assert exchanges == ([] if small_partials else
+                         [canonicalize.EDGE_KEYS, ["entity_id"]])
 
 
-def test_salt_splits_the_hot_key():
-    """The salt varies within one key (it hashes the provenance column) and
-    stays in [0, NUM_SALTS)."""
-    ids = [f"c{i:04d}" for i in range(400)]
-    partial = pa.table({"sample_conv_id": ids})
-    salts = canonicalize._add_salt(partial).column("salt").to_pylist()
-    assert set(salts) <= set(range(canonicalize.NUM_SALTS))
-    assert len(set(salts)) > canonicalize.NUM_SALTS // 2
+def test_many_small_blocks_are_coalesced_before_the_exchange(ray_session,
+                                                             monkeypatch):
+    """600 one-block inputs reach the sort as ~rows / combine_batch_size()
+    partial blocks, not one per input block."""
+    import ray.data as rd
+
+    n_blocks, block_rows, batch = 600, 5, 1000
+    rows = n_blocks * block_rows
+    seen = []
+    real = groupagg.sorted_hash_aggregate
+
+    def spy(ds, key_cols, agg_spec):
+        ds = ds.materialize()
+        seen.append(ds.num_blocks())
+        assert seen[-1] <= math.ceil(rows / batch)
+        return real(ds, key_cols, agg_spec)
+
+    monkeypatch.setattr(groupagg, "sorted_hash_aggregate", spy)
+    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", 0)
+    monkeypatch.setattr(groupagg, "combine_batch_size", lambda: batch)
+    ds = rd.from_arrow([
+        pa.table({"k": [f"k{(b * block_rows + i) % 1500}"
+                        for i in range(block_rows)],
+                  "w": pa.array([1] * block_rows, pa.int64())})
+        for b in range(n_blocks)])
+    assert ds.num_blocks() == n_blocks
+    got = groupagg.auto_hash_aggregate(ds, ["k"], [("w", "sum")]).take_all()
+    assert len(seen) == 1
+    assert sorted((r["k"], r["w"]) for r in got) == sorted(
+        (f"k{i}", 2) for i in range(1500))

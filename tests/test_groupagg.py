@@ -91,24 +91,32 @@ def test_sorted_hash_aggregate_rejects_nonreaggregatable(ray_session):
 
 @pytest.mark.parametrize("small_partials", [500_000, 1])
 def test_auto_hash_aggregate_both_paths_match_reference(ray_session,
+                                                        monkeypatch,
                                                         small_partials):
     """Observed-cardinality dispatch (VERDICT r2 #3): the no-sort small path
     and the sorted-block fallback must agree with the single-process
     reference regardless of which side of the threshold fires."""
     import ray.data as rd
 
-    from chinese_open_relation_extraction_for_entgraph_ray.stages.groupagg import (
-        auto_hash_aggregate,
-    )
+    from chinese_open_relation_extraction_for_entgraph_ray.stages import groupagg
 
+    calls = []
+    real = groupagg.sorted_hash_aggregate
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(groupagg, "sorted_hash_aggregate", spy)
+    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", small_partials)
     rows = [{"k": f"key{i % 41}", "aux": i % 3, "w": i, "m": -i}
             for i in range(3000)]
     ds = rd.from_items(rows).repartition(5).map_batches(
         lambda b: b, batch_format="pyarrow")
     spec = [("w", "sum"), ("m", "min")]
-    got = sorted(
-        auto_hash_aggregate(ds, ["k", "aux"], spec,
-                            small_partials=small_partials).take_all(),
-        key=lambda r: (str(r["k"]), str(r["aux"])))
+    got = sorted(groupagg.auto_hash_aggregate(ds, ["k", "aux"], spec)
+                 .take_all(), key=lambda r: (str(r["k"]), str(r["aux"])))
     want = _reference(rows, ["k", "aux"], spec)
     assert [dict(g) for g in got] == want
+    # the constant is read at call time: patching it picks the path
+    assert calls == ([] if small_partials == 500_000 else [["k", "aux"]])

@@ -75,6 +75,55 @@ def test_entities_table(kg):
     assert not set(df["entity_id"]) & set(ENTITY_ALIASES)
 
 
+def _bag_diff(con, a_sql: str, b_sql: str) -> int:
+    """Rows in either bag and not the other (0 iff the bags are equal)."""
+    return con.execute(
+        f"WITH a AS ({a_sql}), b AS ({b_sql}) SELECT "
+        "(SELECT count(*) FROM (SELECT * FROM a EXCEPT ALL SELECT * FROM b)) + "
+        "(SELECT count(*) FROM (SELECT * FROM b EXCEPT ALL SELECT * FROM a))"
+    ).fetchone()[0]
+
+
+@pytest.mark.parametrize("layout,kwargs", [
+    ("all", None),
+    ("fused", {"checkpoints": "minimal"}),
+    ("sharded", {"checkpoints": "minimal", "triples_shards": 3})])
+def test_edges_entities_match_duckdb_group_by(kg, ray_session, layout, kwargs):
+    """edges == a DuckDB GROUP BY over the build's own triples, and entities
+    == one over its edges: an oracle sharing no code with the aggregation
+    (null keys -> '', ``min`` provenance, entities without null/'' ids)."""
+    import duckdb
+
+    out_dir = ODIR if kwargs is None else f"{ODIR}_{layout}"
+    if kwargs is not None:
+        build_kg(TDIR, out_dir, **kwargs)
+
+    def scan(stage):
+        return f"read_parquet('{out_dir}/{stage}/**/*.parquet')"
+
+    with duckdb.connect() as con:
+        assert con.execute(f"SELECT count(*) FROM {scan('edges')}") \
+                  .fetchone()[0] > 0
+        assert _bag_diff(
+            con,
+            "SELECT coalesce(subj, '') AS subj, pred, "
+            "coalesce(obj, '') AS obj, coalesce(subj_ent, '') AS subj_ent, "
+            "coalesce(obj_ent, '') AS obj_ent, count(*)::BIGINT AS weight, "
+            "min(conv_id) AS sample_conv_id, "
+            "min(turn_idx)::INTEGER AS sample_turn_idx "
+            f"FROM {scan('triples')} "
+            "WHERE rel_kind IN ('fine', 'amend_fine') GROUP BY ALL",
+            "SELECT subj, pred, obj, subj_ent, obj_ent, weight, "
+            f"sample_conv_id, sample_turn_idx FROM {scan('edges')}") == 0
+        assert _bag_diff(
+            con,
+            "SELECT e AS entity_id, sum(w)::BIGINT AS mention_count FROM ("
+            f"SELECT subj_ent AS e, weight AS w FROM {scan('edges')} "
+            f"UNION ALL SELECT obj_ent, weight FROM {scan('edges')}) "
+            "WHERE e IS NOT NULL AND e <> '' GROUP BY e",
+            f"SELECT entity_id, mention_count FROM {scan('entities')}") == 0
+
+
 def test_lineage_manifests_written(kg):
     import json
 
@@ -362,3 +411,21 @@ def test_partition_metrics_retry_overwrites(tmp_path, monkeypatch):
     merged = lineage.merge_metric_records(mdir)
     assert merged["n"] == 30          # overwritten, not 33
     assert merged["n_partitions"] == 2
+
+
+def test_fingerprint_sees_same_second_rewrite(tmp_path):
+    """A same-size rewrite of an input within the same second changes the
+    fingerprint, so ``resume=True`` recomputes instead of reusing stages
+    built from the old contents."""
+    from chinese_open_relation_extraction_for_entgraph_ray.state.lineage import (
+        fingerprint_paths,
+    )
+
+    path = tmp_path / "transcripts-0000.parquet"
+    second = 1_700_000_000 * 10**9
+    path.write_bytes(b"old contents")
+    os.utime(path, ns=(second + 100, second + 100))
+    before = fingerprint_paths([str(path)])
+    path.write_bytes(b"new contents")
+    os.utime(path, ns=(second + 200, second + 200))
+    assert fingerprint_paths([str(path)]) != before
