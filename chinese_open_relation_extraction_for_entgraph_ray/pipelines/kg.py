@@ -15,11 +15,15 @@ checkpoints double as the reference's ``--ready_ddp`` contract: downstream
 stages re-read ``parses`` instead of re-parsing (dudepparse.py:1891-1897).
 
 Scale notes (100 TB / multi-node):
-- the only all-to-all exchanges are the two edge/entity group-bys, both
-  through ``groupagg.auto_hash_aggregate``: it coalesces the stream into
-  combine_batch_size()-row batches and collapses each to distinct keys
-  before the exchange, so a hot key reaches it at most once per batch and
-  the exchange's partition count tracks rows, not input blocks;
+- the only all-to-all exchanges are the dedup sort of the sentence stream
+  and the two edge/entity group-bys.  Each coalesces its input to the
+  batch its consumer takes (the rule beside
+  ``groupagg.auto_hash_aggregate``'s coalescing), so its partition count
+  tracks rows, not input blocks: the dedup sort hashes
+  PARSE_BATCH_SIZE-row batches and the parse takes its output blocks
+  whole; the group-bys collapse combine_batch_size()-row batches to
+  distinct keys, so a hot key reaches their exchange at most once per
+  batch;
 - reads prune to the columns each stage needs;
 - everything else is embarrassingly parallel map_batches with streaming
   execution — no driver-side loops, no full materialization.
@@ -162,7 +166,9 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     def stage(name: str, make, upstream_fp: str, metrics=None) -> str:
         """Skip (resume), or reset, write, time and commit one stage.
         ``make()`` returns the Dataset to write, or None when the stage's
-        rows are already committed by its shard stages."""
+        rows are already committed by its shard stages.  ``metrics`` is
+        read at commit, after ``make()``, so it may hold a decision taken
+        while planning the stage."""
         fp = f"{upstream_fp}:{name}"
         if not (resume and store.is_complete(name, fp)):
             store.reset_metrics(name)
@@ -185,10 +191,19 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     def _dedup_sort(src):
         """Co-locate identical sentence texts (sort by text hash) so each
         parse batch's distinct-text dedup and the per-worker extract memo
-        hit for every duplicate regardless of worker count — the
-        dedup-before-expensive-op exchange: one cheap
-        int64 sort of the sentence stream buys near-total elimination of
-        repeated parsing/extraction (transcripts repeat heavily)."""
+        hit for every duplicate regardless of worker count.
+
+        The hash map coalesces the stream to PARSE_BATCH_SIZE-row bundles
+        (Ray fuses it with ``explode_turns``, so a bundle counts turns):
+        the sort sees about turns / PARSE_BATCH_SIZE blocks, not one per
+        read task, and each of its output blocks is one parse batch.
+        Measured cost (BASELINE.md, "Dedup-sort exchange"; fresh 4-CPU
+        session on a 4-vCPU Xeon, ``kg_repeat``): fed one block per read
+        task (8), the sort and the tasks around it cost 6.8 CPU-s per
+        build and started 3 Ray worker processes; coalesced (2 blocks),
+        3.5 CPU-s and 1.  A corpus under PARSE_BATCH_SIZE turns becomes
+        one block, which loses parallelism once workers are warm (+0.4 s
+        on 8,000 sentences in 120 files)."""
         import pyarrow as _pa
 
         def add_hash(batch: "_pa.Table") -> "_pa.Table":
@@ -209,35 +224,41 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         def drop_hash(batch: "_pa.Table") -> "_pa.Table":
             return batch.drop_columns(["__th"])
 
-        return src.map_batches(add_hash, batch_format="pyarrow") \
+        return src.map_batches(add_hash, batch_format="pyarrow",
+                               batch_size=PARSE_BATCH_SIZE) \
                   .sort("__th") \
                   .map_batches(drop_hash, batch_format="pyarrow")
 
     _dedup_decision: dict = {}
+    # manifest metrics of each stage that runs _parses (parses, triples or a
+    # triples shard), so a resumed run still reports the decision
+    parse_metrics = {"dedup_sort": _dedup_decision}
 
     def _use_dedup_sort() -> bool:
         """Evaluated lazily (probe reads only run when a parse stage
         actually executes) and once per build."""
-        if dedup_sort != "auto":
-            return bool(dedup_sort)
-        if "on" not in _dedup_decision:
-            rate = sampled_duplicate_rate(transcripts_dir)
-            _dedup_decision["on"] = rate >= DEDUP_SORT_MIN_RATE
-            _dedup_decision["rate"] = round(rate, 4)
+        if not _dedup_decision:
+            _dedup_decision["on"] = dedup_sort
+            if dedup_sort == "auto":
+                rate = sampled_duplicate_rate(transcripts_dir)
+                _dedup_decision.update(on=rate >= DEDUP_SORT_MIN_RATE,
+                                       rate=round(rate, 4))
         return _dedup_decision["on"]
 
     def _parses(src):
+        batch_size = PARSE_BATCH_SIZE
         if _use_dedup_sort():
-            src = _dedup_sort(src)
+            # the sort's output blocks are already parse batches: one parse
+            # task per block, so they set the parse task and file counts
+            src, batch_size = _dedup_sort(src), None
         if parser_cls is None:
             return src.map_batches(template_parse, batch_format="pyarrow",
-                                   batch_size=PARSE_BATCH_SIZE)
+                                   batch_size=batch_size)
         # a model-backed parser actor (e.g. stages.parse.DDParserActor) sets
         # fractional num_gpus here (ST3, SURVEY.md §2.4)
         kwargs = {"num_gpus": parse_num_gpus} if parse_num_gpus else {}
         return src.map_batches(
-            parser_cls, batch_format="pyarrow",
-            batch_size=PARSE_BATCH_SIZE,
+            parser_cls, batch_format="pyarrow", batch_size=batch_size,
             concurrency=_parse_pool_width(parse_num_gpus), **kwargs)
 
     def _triples(src, metrics_stage: str):
@@ -279,15 +300,18 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                    lambda: _sentences(_read(transcripts_dir,
                                             columns=transcripts_cols)),
                    base_fp)
+        parse_stage = "parses"
         fp = stage("parses",
-                   lambda: _parses(_read(store.stage_dir("sentences"))), fp)
+                   lambda: _parses(_read(store.stage_dir("sentences"))), fp,
+                   metrics=parse_metrics)
         fp = stage("triples",
                    lambda: _triples(_read(store.stage_dir("parses")),
                                     "triples"), fp)
     elif not triples_shards:
+        parse_stage = "triples"
         fp = stage("triples",
                    lambda: _fused_triples(transcripts_dir, "triples"),
-                   f"{base_fp}:fused")
+                   f"{base_fp}:fused", metrics=parse_metrics)
     else:
         # one stage per shard group -> mid-stage resume; the triples commit
         # chains through every shard's commit record
@@ -299,7 +323,9 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                 name = f"triples/shard-{k:04d}"
                 shards[name] = stage(
                     name, lambda f=files, n=name: _fused_triples(f, n),
-                    f"{fp_base}:{fingerprint_paths(files)}")
+                    f"{fp_base}:{fingerprint_paths(files)}",
+                    metrics=parse_metrics)
+        parse_stage = next(iter(shards), "triples")
         extraction: dict = {}
         for name in shards:
             rec = store.read_manifest(name)["metrics"].get("extraction", {})
@@ -340,8 +366,8 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         "entities": _read(store.stage_dir("entities")),
         "_meta": {"ran_stages": ran, "out_dir": out_dir,
                   "input_fingerprint": base_fp, "stage_wall_sec": timings,
-                  "dedup_sort": dict(_dedup_decision) if _dedup_decision
-                  else {"on": dedup_sort if dedup_sort != "auto" else None}},
+                  "dedup_sort": store.read_manifest(parse_stage)["metrics"]
+                  .get("dedup_sort", {"on": None})},
     }
     if checkpoints == "all":
         out["sentences"] = _read(store.stage_dir("sentences"))

@@ -66,8 +66,8 @@ def _joined_key_strings(batch: pa.Table, key_cols: list[str]) -> pa.Array:
 
 def _add_key_hash(batch: pa.Table, key_cols: list[str]) -> pa.Table:
     """Append the 128-bit key hash as two int64 columns — fully vectorized
-    (arrow cast/join + pandas' C siphash), no per-row Python in the hot
-    aggregate path."""
+    (arrow cast/join + polars ``Series.hash`` under two seeds), no per-row
+    Python in the hot aggregate path."""
     import numpy as np
 
     if batch.num_rows == 0:
@@ -234,6 +234,11 @@ def auto_hash_aggregate(ds, key_cols: list[str],
         return _pa_aggregate(_add_key_hash(batch, key_cols), key_cols,
                              agg_spec)
 
+    # The one rule for every exchange on the KG path: coalesce its input to
+    # the batch its consumer takes, so its fan-out tracks rows, not input
+    # blocks.  Here that is the combiner's batch; the dedup sort in
+    # pipelines/kg.py hashes parse batches and the parse takes its output
+    # blocks whole (BASELINE.md, "Dedup-sort exchange").
     partials = ds.map_batches(precombine, batch_format="pyarrow",
                               batch_size=combine_batch_size()).materialize()
     if partials.count() <= AUTO_SMALL_PARTIALS:

@@ -174,6 +174,8 @@ def test_triples_shards_refused_where_it_cannot_apply(kwargs, tmp_path):
 def test_resume_skips_completed_stages(kg, ray_session):
     res = build_kg(TDIR, ODIR)
     assert res["_meta"]["ran_stages"] == []     # everything checkpointed
+    # the skipped parses stage's manifest still reports the dedup decision
+    assert res["_meta"]["dedup_sort"] == kg["_meta"]["dedup_sort"]
 
 
 def test_resume_recomputes_downstream_of_missing_stage(kg, ray_session):
@@ -310,28 +312,113 @@ def test_transient_task_failure_is_retried(ray_session):
     assert ds.count() == 10_000
 
 
+def _bag(ds) -> list:
+    """The rows of ``ds`` as a sorted multiset (row reprs, nulls kept)."""
+    return sorted(repr(sorted(r.items())) for r in ds.take_all())
+
+
+def _parse_stages(out_dir: str) -> list[str]:
+    """The stages of a build that ran the parse (and so the dedup sort)."""
+    if os.path.exists(os.path.join(out_dir, "parses", "_lineage.json")):
+        return ["parses"]
+    shards = sorted(f"triples/{d}" for d in os.listdir(
+        os.path.join(out_dir, "triples")) if d.startswith("shard-"))
+    return shards or ["triples"]
+
+
 def test_dedup_sort_gating_identical_outputs(kg, ray_session):
-    """dedup_sort=True/False produce identical triple sets, and the 'auto'
-    probe decision tracks the sampled duplicate rate against the
-    threshold (0.05 on this tiny fixture -> off; 0.43 at sf0.1 -> on)."""
+    """dedup_sort=True/False produce identical triples, edges and entities
+    multisets in the checkpoints="all", fused and sharded layouts; the
+    decision is in the manifest of every stage that ran the parse and a
+    resumed run reports it from there; and the 'auto' probe decision tracks
+    the sampled duplicate rate against the threshold (0.004 on this tiny
+    fixture -> off; 0.43 at sf0.1 -> on)."""
     from chinese_open_relation_extraction_for_entgraph_ray.pipelines.kg import (
         DEDUP_SORT_MIN_RATE,
         sampled_duplicate_rate,
     )
+    from chinese_open_relation_extraction_for_entgraph_ray.state.lineage import (
+        CheckpointStore,
+    )
 
     rate = sampled_duplicate_rate(TDIR)
-    res_on = build_kg(TDIR, ODIR + "_sort", dedup_sort=True)
-    res_off = build_kg(TDIR, ODIR + "_nosort", dedup_sort=False)
-    assert res_on["_meta"]["dedup_sort"]["on"] is True
-    assert res_off["_meta"]["dedup_sort"]["on"] is False
     # the module fixture ran with 'auto': decision == probe vs threshold
     auto = kg["_meta"]["dedup_sort"]
     assert auto["on"] == (rate >= DEDUP_SORT_MIN_RATE)
     assert abs(auto["rate"] - rate) < 0.05
+    assert CheckpointStore(ODIR).read_manifest("parses")["metrics"][
+        "dedup_sort"] == auto
 
-    a = sorted(map(str, (triple_key(r) for r in res_on["triples"].take_all())))
-    b = sorted(map(str, (triple_key(r) for r in res_off["triples"].take_all())))
-    assert a == b
+    for layout, kwargs in (
+            ("all", {}),
+            ("fused", {"checkpoints": "minimal"}),
+            ("sharded", {"checkpoints": "minimal", "triples_shards": 3})):
+        bags = {}
+        for on in (True, False):
+            out_dir = f"{ODIR}_ds_{layout}_{on}"
+            res = build_kg(TDIR, out_dir, resume=False, dedup_sort=on,
+                           **kwargs)
+            assert res["_meta"]["dedup_sort"] == {"on": on}
+            store = CheckpointStore(out_dir)
+            stages = _parse_stages(out_dir)
+            assert len(stages) == (3 if layout == "sharded" else 1)
+            for name in stages:
+                assert store.read_manifest(name)["metrics"][
+                    "dedup_sort"] == {"on": on}
+            again = build_kg(TDIR, out_dir, dedup_sort=on, **kwargs)
+            assert again["_meta"]["ran_stages"] == []
+            assert again["_meta"]["dedup_sort"] == {"on": on}
+            bags[on] = {k: _bag(res[k])
+                        for k in ("triples", "edges", "entities")}
+        assert bags[True]["triples"], layout
+        assert bags[True] == bags[False], layout
+
+
+def test_dedup_sort_sees_coalesced_blocks(ray_session, monkeypatch, tmp_path):
+    """A corpus of 60 small files reaches the dedup sort as at most
+    ~sentences / PARSE_BATCH_SIZE blocks in every layout that parses (fused,
+    sharded, the ``parses`` stage), not one block per read task.  Each
+    sorted block is one parse task, so with checkpoints="all" the sort
+    writes one ``parses`` file per block and no fewer than the unsorted
+    plan, whose parse batches the read stream."""
+    import glob
+    import math
+
+    import ray.data as rd
+
+    from chinese_open_relation_extraction_for_entgraph_ray.pipelines.kg import (
+        PARSE_BATCH_SIZE,
+    )
+
+    tdir = write_transcripts(str(tmp_path / "in"), SEED, 1800, files=60)
+    seen = []
+    real = rd.Dataset.sort
+
+    def spy(self, key, *args, **kwargs):
+        ds = self.materialize()
+        if key == "__th":
+            seen.append((ds.num_blocks(), ds.count()))
+        return real(ds, key, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "sort", spy)
+
+    def parses_files(out_dir):
+        return len(glob.glob(os.path.join(out_dir, "parses", "*.parquet")))
+
+    for kwargs, n_sorts in (({"checkpoints": "minimal"}, 1),
+                            ({"checkpoints": "minimal", "triples_shards": 3}, 3),
+                            ({"checkpoints": "all"}, 1)):
+        seen.clear()
+        out_dir = str(tmp_path / "kg")
+        build_kg(tdir, out_dir, resume=False, dedup_sort=True, **kwargs)
+        assert len(seen) == n_sorts, kwargs
+        for blocks, rows in seen:
+            assert rows > PARSE_BATCH_SIZE // 2
+            assert blocks <= math.ceil(rows / PARSE_BATCH_SIZE) + 1, kwargs
+    assert parses_files(out_dir) == seen[0][0]
+    unsorted = str(tmp_path / "kg_unsorted")
+    build_kg(tdir, unsorted, resume=False, dedup_sort=False)
+    assert parses_files(out_dir) >= parses_files(unsorted) > 1
 
 
 def test_filter_histograms_match_recount(kg, ray_session):
