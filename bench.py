@@ -46,11 +46,7 @@ def _run_headline() -> dict:
     rd.read_parquet(tdir).count()
 
     t0 = time.perf_counter()
-    # dedup_sort pinned (the probe decides True for this corpus — rate 0.43,
-    # recorded in BASELINE.md): the ~3 s probe read is a fixed cost that
-    # would skew the short-leg/long-leg scaling ratio, not pipeline work
-    res = build_kg(tdir, out_dir, resume=False, checkpoints="minimal",
-                   dedup_sort=True)
+    res = build_kg(tdir, out_dir, resume=False, checkpoints="minimal")
     n_triples = res["triples"].count()
     n_edges = res["edges"].count()
     sec = time.perf_counter() - t0

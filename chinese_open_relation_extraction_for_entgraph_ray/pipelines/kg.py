@@ -50,32 +50,6 @@ def _read(path_or_dir, columns=None):
     return rd.read_parquet(path_or_dir, columns=columns)
 
 
-DEDUP_SORT_MIN_RATE = 0.3      # enable the sort when >=30% duplicate texts
-DEDUP_SORT_PROBE_ROWS = 50_000
-
-
-def sampled_duplicate_rate(transcripts_dir: str,
-                           sample_rows: int = DEDUP_SORT_PROBE_ROWS) -> float:
-    """Bounded probe for dedup_sort='auto': duplicate fraction of sentence
-    texts over the first ~sample_rows turns.  Biased toward the head of the
-    file list — acceptable for a rate estimate; pass dedup_sort=True/False
-    explicitly when the head is known to be unrepresentative."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    ds = rd.read_parquet(transcripts_dir,
-                         columns=["conv_id", "turn_idx", "text"]) \
-           .limit(sample_rows) \
-           .map_batches(explode_turns, batch_format="pyarrow")
-    n = 0
-    distinct: set = set()
-    for batch in ds.iter_batches(batch_format="pyarrow", batch_size=8192):
-        texts = batch.column("text")
-        n += len(texts)
-        distinct.update(pc.unique(texts).to_pylist())
-    return 1.0 - len(distinct) / n if n else 0.0
-
-
 def _parse_pool_width(parse_num_gpus: float) -> int:
     """Actor-pool width for a ``parser_cls``: half the cluster's CPUs, at most
     ``PARSE_CONCURRENCY``, leaving headroom for the task operators feeding and
@@ -95,7 +69,7 @@ def _parse_pool_width(parse_num_gpus: float) -> int:
 def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
              checkpoints: str = "all", config=None,
              parse_num_gpus: float = 0.0, triples_shards: int = 0,
-             parser_cls=None, dedup_sort: bool | str = "auto") -> dict:
+             parser_cls=None, dedup_sort: bool = True) -> dict:
     """Run (or resume) the full pipeline; returns {stage: Dataset} handles of
     the materialized outputs plus run metadata under "_meta".
 
@@ -120,15 +94,13 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     template parser runs as stateless tasks
     (:func:`..stages.parse.template_parse`).
 
-    ``dedup_sort``: co-locate identical sentence texts before the parse
-    stage so each batch's distinct-text parse and the per-worker extract
-    memo hit for every duplicate.  The sort is a full exchange of the
-    sentence stream — a measured win when
-    the corpus repeats heavily, a pure cost when it doesn't — so
-    ``"auto"`` (default) decides from a sampled duplicate-rate probe
-    (:func:`sampled_duplicate_rate` >= ``DEDUP_SORT_MIN_RATE``);
-    True/False force it.  Outputs are identical either way (the sort only
-    reorders rows).
+    ``dedup_sort`` (default True): co-locate identical sentence texts before
+    the parse stage so each batch's distinct-text parse and the per-worker
+    extract memo hit for every duplicate.  The sort is one plan for every
+    input, with no probe deciding it: where the corpus repeats it wins,
+    and in no measured cell is the unsorted plan 2x faster (BASELINE.md,
+    "Dedup-sort exchange").  False is the unsorted reference plan;
+    outputs are identical either way (the sort only reorders rows).
 
     ``triples_shards`` (minimal mode only): >0 splits the transcripts files
     into that many shard groups, each its own stage
@@ -148,8 +120,8 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         raise ValueError(f"triples_shards must be 0, or >0 with "
                          f"checkpoints='minimal'; got {triples_shards!r} with "
                          f"checkpoints={checkpoints!r}")
-    if dedup_sort not in (True, False, "auto"):
-        raise ValueError(f"dedup_sort must be True/False/'auto', "
+    if not isinstance(dedup_sort, bool):
+        raise ValueError(f"dedup_sort must be True or False, "
                          f"got {dedup_sort!r}")
     if parse_num_gpus and parser_cls is None:
         raise ValueError("parse_num_gpus sizes the parser_cls actor pool; "
@@ -166,9 +138,8 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     def stage(name: str, make, upstream_fp: str, metrics=None) -> str:
         """Skip (resume), or reset, write, time and commit one stage.
         ``make()`` returns the Dataset to write, or None when the stage's
-        rows are already committed by its shard stages.  ``metrics`` is
-        read at commit, after ``make()``, so it may hold a decision taken
-        while planning the stage."""
+        rows are already committed by its shard stages; ``metrics`` joins
+        the stage's wall time in its manifest."""
         fp = f"{upstream_fp}:{name}"
         if not (resume and store.is_complete(name, fp)):
             store.reset_metrics(name)
@@ -229,25 +200,9 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                   .sort("__th") \
                   .map_batches(drop_hash, batch_format="pyarrow")
 
-    _dedup_decision: dict = {}
-    # manifest metrics of each stage that runs _parses (parses, triples or a
-    # triples shard), so a resumed run still reports the decision
-    parse_metrics = {"dedup_sort": _dedup_decision}
-
-    def _use_dedup_sort() -> bool:
-        """Evaluated lazily (probe reads only run when a parse stage
-        actually executes) and once per build."""
-        if not _dedup_decision:
-            _dedup_decision["on"] = dedup_sort
-            if dedup_sort == "auto":
-                rate = sampled_duplicate_rate(transcripts_dir)
-                _dedup_decision.update(on=rate >= DEDUP_SORT_MIN_RATE,
-                                       rate=round(rate, 4))
-        return _dedup_decision["on"]
-
     def _parses(src):
         batch_size = PARSE_BATCH_SIZE
-        if _use_dedup_sort():
+        if dedup_sort:
             # the sort's output blocks are already parse batches: one parse
             # task per block, so they set the parse task and file counts
             src, batch_size = _dedup_sort(src), None
@@ -300,18 +255,15 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                    lambda: _sentences(_read(transcripts_dir,
                                             columns=transcripts_cols)),
                    base_fp)
-        parse_stage = "parses"
         fp = stage("parses",
-                   lambda: _parses(_read(store.stage_dir("sentences"))), fp,
-                   metrics=parse_metrics)
+                   lambda: _parses(_read(store.stage_dir("sentences"))), fp)
         fp = stage("triples",
                    lambda: _triples(_read(store.stage_dir("parses")),
                                     "triples"), fp)
     elif not triples_shards:
-        parse_stage = "triples"
         fp = stage("triples",
                    lambda: _fused_triples(transcripts_dir, "triples"),
-                   f"{base_fp}:fused", metrics=parse_metrics)
+                   f"{base_fp}:fused")
     else:
         # one stage per shard group -> mid-stage resume; the triples commit
         # chains through every shard's commit record
@@ -323,9 +275,7 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                 name = f"triples/shard-{k:04d}"
                 shards[name] = stage(
                     name, lambda f=files, n=name: _fused_triples(f, n),
-                    f"{fp_base}:{fingerprint_paths(files)}",
-                    metrics=parse_metrics)
-        parse_stage = next(iter(shards), "triples")
+                    f"{fp_base}:{fingerprint_paths(files)}")
         extraction: dict = {}
         for name in shards:
             rec = store.read_manifest(name)["metrics"].get("extraction", {})
@@ -365,9 +315,7 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         "edges": _read(store.stage_dir("edges")),
         "entities": _read(store.stage_dir("entities")),
         "_meta": {"ran_stages": ran, "out_dir": out_dir,
-                  "input_fingerprint": base_fp, "stage_wall_sec": timings,
-                  "dedup_sort": store.read_manifest(parse_stage)["metrics"]
-                  .get("dedup_sort", {"on": None})},
+                  "input_fingerprint": base_fp, "stage_wall_sec": timings},
     }
     if checkpoints == "all":
         out["sentences"] = _read(store.stage_dir("sentences"))

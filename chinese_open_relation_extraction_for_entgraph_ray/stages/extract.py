@@ -78,7 +78,7 @@ def _parse_keys(batch: pa.Table) -> pa.Array:
 def extract_linked(batch: pa.Table, config: ExtractionConfig = DEFAULT_CONFIG
                    ) -> tuple[pa.Table, dict]:
     """Parses -> linked triples (``LINKED_TRIPLES_SCHEMA``) plus the batch's
-    memo counters.
+    memo and one-word-parse counters.
 
     Runs the cascade and entity linking once per distinct parse key not yet
     in the memo, then expands the per-key blocks to rows with one vectorized
@@ -91,8 +91,12 @@ def extract_linked(batch: pa.Table, config: ExtractionConfig = DEFAULT_CONFIG
     memo = _EXTRACT_MEMO.setdefault(config, {})
     blocks = [memo.get(k) for k in keys]
     missed = [i for i, blk in enumerate(blocks) if blk is None]
+    # n_one_word_parses: rows whose parse is one word, the template parser's
+    # single-HED fallback (stages/parse.py), which yields no triple
     stats = {"n_sentences": n, "n_distinct_parses": len(keys),
-             "memo_misses": len(missed), "memo_full": 0}
+             "memo_misses": len(missed), "memo_full": 0,
+             "n_one_word_parses": pc.sum(pc.equal(pc.list_value_length(
+                 batch.column("words")), 1)).as_py() or 0}
     if missed:
         _, first_row = np.unique(codes, return_index=True)
         parses = batch.take(pa.array(first_row[missed]))

@@ -125,9 +125,12 @@ def test_extract_linked_equals_per_row_reference(parses, cold_memo):
     kinds = {r["rel_kind"] for r in want}
     assert {"fine", "amend_fine"} <= kinds
     n_distinct = len(set(parses.column("text").to_pylist()))
+    n_one_word = sum(len(w) == 1 for w in parses.column("words").to_pylist())
+    assert n_one_word >= 2      # FALLBACK, repeated
     assert stats == {"n_sentences": parses.num_rows,
                      "n_distinct_parses": n_distinct,
-                     "memo_misses": n_distinct, "memo_full": 0}
+                     "memo_misses": n_distinct, "memo_full": 0,
+                     "n_one_word_parses": n_one_word}
     # warm memo: same rows, no misses
     again, stats = extract.extract_linked(parses)
     assert again.equals(got)
@@ -155,10 +158,15 @@ def test_zero_triple_fallback_and_empty_batches(parses, cold_memo):
         got, stats = extract.extract_linked(only)
         assert got.num_rows == 0 and got.schema == extract.LINKED_TRIPLES_SCHEMA
         assert stats["n_distinct_parses"] == 1
+        # the single-HED fallback is counted on every row; a filtered
+        # template parse is not a fallback
+        assert stats["n_one_word_parses"] == (
+            only.num_rows if text == FALLBACK else 0)
     got, stats = extract.extract_linked(parses.slice(0, 0))
     assert got.num_rows == 0 and got.schema == extract.LINKED_TRIPLES_SCHEMA
     assert stats == {"n_sentences": 0, "n_distinct_parses": 0,
-                     "memo_misses": 0, "memo_full": 0}
+                     "memo_misses": 0, "memo_full": 0,
+                     "n_one_word_parses": 0}
     # a parses batch without the text column (extract_triples contract)
     assert extract.extract_triples(parses.drop_columns(["text"])).equals(
         extract.extract_triples(parses))

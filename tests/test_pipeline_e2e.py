@@ -75,6 +75,11 @@ def test_entities_table(kg):
     assert not set(df["entity_id"]) & set(ENTITY_ALIASES)
 
 
+def _scan(out_dir: str, stage: str) -> str:
+    """DuckDB scan of a build's stage files (any shard layout)."""
+    return f"read_parquet('{out_dir}/{stage}/**/*.parquet')"
+
+
 def _bag_diff(con, a_sql: str, b_sql: str) -> int:
     """Rows in either bag and not the other (0 iff the bags are equal)."""
     return con.execute(
@@ -99,7 +104,7 @@ def test_edges_entities_match_duckdb_group_by(kg, ray_session, layout, kwargs):
         build_kg(TDIR, out_dir, **kwargs)
 
     def scan(stage):
-        return f"read_parquet('{out_dir}/{stage}/**/*.parquet')"
+        return _scan(out_dir, stage)
 
     with duckdb.connect() as con:
         assert con.execute(f"SELECT count(*) FROM {scan('edges')}") \
@@ -174,8 +179,6 @@ def test_triples_shards_refused_where_it_cannot_apply(kwargs, tmp_path):
 def test_resume_skips_completed_stages(kg, ray_session):
     res = build_kg(TDIR, ODIR)
     assert res["_meta"]["ran_stages"] == []     # everything checkpointed
-    # the skipped parses stage's manifest still reports the dedup decision
-    assert res["_meta"]["dedup_sort"] == kg["_meta"]["dedup_sort"]
 
 
 def test_resume_recomputes_downstream_of_missing_stage(kg, ray_session):
@@ -255,6 +258,9 @@ def test_sharded_triples_mid_stage_resume(ray_session):
     m = json.load(open(os.path.join(sdir, "triples/_lineage.json")))
     # merged metrics still cover every shard, not just the recomputed one
     assert m["metrics"]["extraction"]["n_triples"] == len(a)
+    fused_m = json.load(open(os.path.join(ODIR, "triples/_lineage.json")))
+    assert m["metrics"]["extraction"]["n_one_word_parses"] == \
+        fused_m["metrics"]["extraction"]["n_one_word_parses"]
     assert m["metrics"]["shards"] == 3
 
 
@@ -317,61 +323,108 @@ def _bag(ds) -> list:
     return sorted(repr(sorted(r.items())) for r in ds.take_all())
 
 
-def _parse_stages(out_dir: str) -> list[str]:
-    """The stages of a build that ran the parse (and so the dedup sort)."""
-    if os.path.exists(os.path.join(out_dir, "parses", "_lineage.json")):
-        return ["parses"]
-    shards = sorted(f"triples/{d}" for d in os.listdir(
-        os.path.join(out_dir, "triples")) if d.startswith("shard-"))
-    return shards or ["triples"]
-
-
 def test_dedup_sort_gating_identical_outputs(kg, ray_session):
-    """dedup_sort=True/False produce identical triples, edges and entities
-    multisets in the checkpoints="all", fused and sharded layouts; the
-    decision is in the manifest of every stage that ran the parse and a
-    resumed run reports it from there; and the 'auto' probe decision tracks
-    the sampled duplicate rate against the threshold (0.004 on this tiny
-    fixture -> off; 0.43 at sf0.1 -> on)."""
-    from chinese_open_relation_extraction_for_entgraph_ray.pipelines.kg import (
-        DEDUP_SORT_MIN_RATE,
-        sampled_duplicate_rate,
-    )
-    from chinese_open_relation_extraction_for_entgraph_ray.state.lineage import (
-        CheckpointStore,
-    )
-
-    rate = sampled_duplicate_rate(TDIR)
-    # the module fixture ran with 'auto': decision == probe vs threshold
-    auto = kg["_meta"]["dedup_sort"]
-    assert auto["on"] == (rate >= DEDUP_SORT_MIN_RATE)
-    assert abs(auto["rate"] - rate) < 0.05
-    assert CheckpointStore(ODIR).read_manifest("parses")["metrics"][
-        "dedup_sort"] == auto
-
+    """The sorted plan (default) and the unsorted reference plan
+    (dedup_sort=False) produce identical triples, edges and entities
+    multisets in the checkpoints="all", fused and sharded layouts."""
     for layout, kwargs in (
             ("all", {}),
             ("fused", {"checkpoints": "minimal"}),
             ("sharded", {"checkpoints": "minimal", "triples_shards": 3})):
         bags = {}
         for on in (True, False):
-            out_dir = f"{ODIR}_ds_{layout}_{on}"
-            res = build_kg(TDIR, out_dir, resume=False, dedup_sort=on,
-                           **kwargs)
-            assert res["_meta"]["dedup_sort"] == {"on": on}
-            store = CheckpointStore(out_dir)
-            stages = _parse_stages(out_dir)
-            assert len(stages) == (3 if layout == "sharded" else 1)
-            for name in stages:
-                assert store.read_manifest(name)["metrics"][
-                    "dedup_sort"] == {"on": on}
-            again = build_kg(TDIR, out_dir, dedup_sort=on, **kwargs)
-            assert again["_meta"]["ran_stages"] == []
-            assert again["_meta"]["dedup_sort"] == {"on": on}
+            res = build_kg(TDIR, f"{ODIR}_ds_{layout}_{on}", resume=False,
+                           dedup_sort=on, **kwargs)
             bags[on] = {k: _bag(res[k])
                         for k in ("triples", "edges", "entities")}
         assert bags[True]["triples"], layout
         assert bags[True] == bags[False], layout
+
+
+def test_default_build_reads_transcripts_once(ray_session, monkeypatch,
+                                              tmp_path):
+    """A default cold build reads the transcripts once, for its
+    ``sentences`` stage: no probe pass decides the plan.  ``dedup_sort`` is
+    a bool; the retired ``"auto"`` is refused."""
+    import ray.data as rd
+
+    tdir = write_transcripts(str(tmp_path / "in"), SEED, 20)
+    real, reads = rd.read_parquet, []
+
+    def spy(paths, *args, **kwargs):
+        if os.path.normpath(str(paths)) == os.path.normpath(tdir):
+            reads.append(kwargs.get("columns"))
+        return real(paths, *args, **kwargs)
+
+    monkeypatch.setattr(rd, "read_parquet", spy)
+    res = build_kg(tdir, str(tmp_path / "kg"), resume=False)
+    assert res["_meta"]["ran_stages"][0] == "sentences"
+    assert len(reads) == 1, reads
+    with pytest.raises(ValueError, match="dedup_sort"):
+        build_kg(tdir, str(tmp_path / "kg"), dedup_sort="auto")
+
+
+def test_triples_manifest_counts_one_word_parses(kg):
+    """The parser's single-HED fallback is counted: the triples manifest's
+    ``n_one_word_parses`` equals a direct count of one-word rows over the
+    ``parses`` stage's files."""
+    import json
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    words = pq.read_table(os.path.join(ODIR, "parses"),
+                          columns=["words"]).column("words")
+    want = pc.sum(pc.equal(pc.list_value_length(words), 1)).as_py()
+    with open(os.path.join(ODIR, "triples", "_lineage.json")) as fp:
+        ext = json.load(fp)["metrics"]["extraction"]
+    assert ext["n_one_word_parses"] == want > 0
+
+
+def test_three_copies_triple_every_count(ray_session, tmp_path):
+    """Metamorphic: the corpus written three times under fresh conv_ids
+    gives every edge weight and entity mention_count exactly 3x the
+    single-copy build's, and 3x its triples multiset with conv_id ignored,
+    with the sort on and off.  Checked with pyarrow and DuckDB only."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    one = write_transcripts(str(tmp_path / "one"), SEED + 1, 40)
+    three = str(tmp_path / "three")
+    os.makedirs(three)
+    for k in range(3):
+        for name in sorted(n for n in os.listdir(one)
+                           if n.endswith(".parquet")):
+            t = pq.read_table(os.path.join(one, name))
+            conv = pc.binary_join_element_wise(
+                t.column("conv_id"), pa.scalar(f"copy{k}"), "~")
+            t = t.set_column(t.schema.get_field_index("conv_id"), "conv_id",
+                             conv)
+            pq.write_table(t, os.path.join(three, f"copy{k}-{name}"))
+
+    for on in (True, False):
+        a, b = str(tmp_path / f"kg_one_{on}"), str(tmp_path / f"kg_three_{on}")
+        build_kg(one, a, resume=False, checkpoints="minimal", dedup_sort=on)
+        build_kg(three, b, resume=False, checkpoints="minimal", dedup_sort=on)
+        with duckdb.connect() as con:
+            assert con.execute(f"SELECT count(*) FROM {_scan(a, 'edges')}") \
+                      .fetchone()[0] > 0
+            keys = "subj, pred, obj, subj_ent, obj_ent"
+            assert _bag_diff(
+                con, f"SELECT {keys}, 3 * weight FROM {_scan(a, 'edges')}",
+                f"SELECT {keys}, weight FROM {_scan(b, 'edges')}") == 0, on
+            assert _bag_diff(
+                con, "SELECT entity_id, 3 * mention_count "
+                     f"FROM {_scan(a, 'entities')}",
+                "SELECT entity_id, mention_count "
+                f"FROM {_scan(b, 'entities')}") == 0, on
+            once = f"SELECT * EXCLUDE (conv_id) FROM {_scan(a, 'triples')}"
+            assert _bag_diff(
+                con, f"{once} UNION ALL {once} UNION ALL {once}",
+                f"SELECT * EXCLUDE (conv_id) FROM {_scan(b, 'triples')}") \
+                == 0, on
 
 
 def test_dedup_sort_sees_coalesced_blocks(ray_session, monkeypatch, tmp_path):
