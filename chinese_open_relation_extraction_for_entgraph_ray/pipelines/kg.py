@@ -95,8 +95,8 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     (:func:`..stages.parse.template_parse`).
 
     ``dedup_sort`` (default True): co-locate identical sentence texts before
-    the parse stage so each batch's distinct-text parse and the per-worker
-    extract memo hit for every duplicate.  The sort is one plan for every
+    the parse stage so each batch's distinct-text parse and distinct-parse
+    extraction collapse every duplicate.  The sort is one plan for every
     input, with no probe deciding it: where the corpus repeats it wins,
     and in no measured cell is the unsorted plan 2x faster (BASELINE.md,
     "Dedup-sort exchange").  False is the unsorted reference plan;
@@ -161,8 +161,9 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
 
     def _dedup_sort(src):
         """Co-locate identical sentence texts (sort by text hash) so each
-        parse batch's distinct-text dedup and the per-worker extract memo
-        hit for every duplicate regardless of worker count.
+        parse batch's distinct-text dedup and the extract batch's
+        distinct-parse dedup collapse every duplicate regardless of worker
+        count.
 
         The hash map coalesces the stream to PARSE_BATCH_SIZE-row bundles
         (Ray fuses it with ``explode_turns``, so a bundle counts turns):

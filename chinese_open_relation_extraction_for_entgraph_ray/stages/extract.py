@@ -5,7 +5,10 @@ rule cascade (``functions/cascade.process_sentence`` — extraction, amendments,
 filters, negation, coarsification; reference post_processing
 /root/reference/dudepparse.py:1718-1786) and explode the five relation streams
 into one row per triple, entity-linked (``canonicalize.link_surface``); equal
-parses share one memoized block, expanded to their rows by a vectorized take.
+parses of a batch share one block, expanded to their rows by a vectorized
+take.  The stage keeps no worker state: behind the dedup sort
+(``pipelines/kg.py``) equal sentence texts share one batch, so a batch's
+distinct parses are the only repeats left to collapse.
 
 The POS map is derived from the static gazetteer (the analog of
 corenlp_pos_tags, reference main_ner.py:36-40) — module-constant state shipped
@@ -43,15 +46,6 @@ LINKED_TRIPLES_SCHEMA = pa.schema(
 _PROVENANCE = ["conv_id", "turn_idx", "sent_idx"]
 _BLOCK_FIELDS = list(LINKED_TRIPLES_SCHEMA)[len(_PROVENANCE):]
 
-# Per-process memo: config -> {parse key -> linked triple rows}.  Transcript
-# corpora repeat sentences heavily (tool outputs, greetings, boilerplate), and
-# the cascade and entity linking are pure functions of the parse, so each
-# distinct parse is extracted and linked once per worker.  Partitioned by
-# config (a different flag set is a different function); bounded so the
-# worker heap stays flat at 100 TB.
-_EXTRACT_MEMO: dict[ExtractionConfig, dict[str, list[tuple]]] = {}
-_EXTRACT_MEMO_MAX = 200_000
-
 
 def _linked_rows(words, heads, deprels, config: ExtractionConfig) -> list[tuple]:
     """One parse -> its linked triples in stream order, one tuple per triple
@@ -75,40 +69,36 @@ def _parse_keys(batch: pa.Table) -> pa.Array:
         pc.binary_join(batch.column("deprels").combine_chunks(), ","), "|")
 
 
+def _distinct_parses(batch: pa.Table) -> tuple[np.ndarray, list[tuple]]:
+    """The batch's distinct parses as ``(words, heads, deprels)`` in
+    first-seen order, and each row's index into them."""
+    codes = pc.dictionary_encode(_parse_keys(batch)).indices \
+              .to_numpy(zero_copy_only=False).astype(np.int64)
+    _, first_row = np.unique(codes, return_index=True)
+    parses = batch.take(pa.array(first_row))
+    return codes, list(zip(parses.column("words").to_pylist(),
+                           parses.column("heads").to_pylist(),
+                           parses.column("deprels").to_pylist()))
+
+
 def extract_linked(batch: pa.Table, config: ExtractionConfig = DEFAULT_CONFIG
                    ) -> tuple[pa.Table, dict]:
     """Parses -> linked triples (``LINKED_TRIPLES_SCHEMA``) plus the batch's
-    memo and one-word-parse counters.
+    sentence, distinct-parse and one-word-parse counters.
 
-    Runs the cascade and entity linking once per distinct parse key not yet
-    in the memo, then expands the per-key blocks to rows with one vectorized
+    Runs the cascade and entity linking once per distinct parse key of the
+    batch, then expands the per-key blocks to rows with one vectorized
     take: row order is the batch's, triples within a row keep stream order.
     """
     n = batch.num_rows
-    enc = pc.dictionary_encode(_parse_keys(batch))
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    keys = enc.dictionary.to_pylist()
-    memo = _EXTRACT_MEMO.setdefault(config, {})
-    blocks = [memo.get(k) for k in keys]
-    missed = [i for i, blk in enumerate(blocks) if blk is None]
+    codes, parses = _distinct_parses(batch)
+    blocks = [_linked_rows(words, heads, deprels, config)
+              for words, heads, deprels in parses]
     # n_one_word_parses: rows whose parse is one word, the template parser's
     # single-HED fallback (stages/parse.py), which yields no triple
-    stats = {"n_sentences": n, "n_distinct_parses": len(keys),
-             "memo_misses": len(missed), "memo_full": 0,
+    stats = {"n_sentences": n, "n_distinct_parses": len(blocks),
              "n_one_word_parses": pc.sum(pc.equal(pc.list_value_length(
                  batch.column("words")), 1)).as_py() or 0}
-    if missed:
-        _, first_row = np.unique(codes, return_index=True)
-        parses = batch.take(pa.array(first_row[missed]))
-        for i, words, heads, deprels in zip(
-                missed, parses.column("words").to_pylist(),
-                parses.column("heads").to_pylist(),
-                parses.column("deprels").to_pylist()):
-            blocks[i] = _linked_rows(words, heads, deprels, config)
-            if len(memo) < _EXTRACT_MEMO_MAX:
-                memo[keys[i]] = blocks[i]
-            else:
-                stats["memo_full"] += 1
 
     sizes = np.fromiter(map(len, blocks), np.int64, len(blocks))
     per_row = sizes[codes]
@@ -145,17 +135,10 @@ def filter_histograms(parses_ds, config: ExtractionConfig = DEFAULT_CONFIG):
     def batch_counts(batch: pa.Table) -> pa.Table:
         # counters are a pure function of the parse: run the cascade once per
         # distinct parse of the batch, scaled by its occurrence count
-        codes = pc.dictionary_encode(_parse_keys(batch)).indices \
-                  .to_numpy(zero_copy_only=False)
-        _, first_row, times_seen = np.unique(codes, return_index=True,
-                                             return_counts=True)
-        parses = batch.take(pa.array(first_row))
+        codes, parses = _distinct_parses(batch)
         agg: dict[tuple, int] = {}
-        for times, words, heads, deprels in zip(
-                times_seen.tolist(),
-                parses.column("words").to_pylist(),
-                parses.column("heads").to_pylist(),
-                parses.column("deprels").to_pylist()):
+        for times, (words, heads, deprels) in zip(
+                np.bincount(codes, minlength=len(parses)).tolist(), parses):
             counters: dict = {}
             process_sentence({"word": words, "head": heads,
                               "deprel": deprels},

@@ -3,9 +3,9 @@
 This is the reference's DDParser stage (`/root/reference/dudepparse.py:1851,
 1891-1906`).  The default template parser is cheap to build and holds no
 weights, so it runs as a stateless ``map_batches`` task
-(:func:`template_parse`, one parser per worker process).  A real DDParser/LTP
-model drops in as an actor-pool stage by passing a model-backed actor with
-the same ``{word, head, deprel}`` output contract as ``parser_cls`` (e.g.
+(:func:`template_parse`).  A real DDParser/LTP model drops in as an
+actor-pool stage by passing a model-backed actor with the same
+``{word, head, deprel}`` output contract as ``parser_cls`` (e.g.
 :class:`DDParserActor`), whose warm weights are built ONCE per actor in
 ``__init__`` — exactly the reference's ``--ready_ddp`` decoupling of parsing
 from extraction.
@@ -71,8 +71,9 @@ class DDParserActor:
 
 
 class TemplateParserActor:
-    """Deterministic rule/lexicon parser: templates compiled once per
-    instance, each distinct text of a batch parsed once.
+    """Deterministic rule/lexicon parser over the templates
+    ``compiled_templates`` compiles once per process; each distinct text of
+    a batch is parsed once.
 
     The template parser carries no model weights, so ``build_kg`` runs it as
     a plain task through :func:`template_parse`; the actor-pool path
@@ -113,13 +114,8 @@ class TemplateParserActor:
             schema=PARSES_SCHEMA)
 
 
-_TEMPLATE_PARSER: TemplateParserActor | None = None
-
-
 def template_parse(batch: pa.Table) -> pa.Table:
-    """Stateless-task form of :class:`TemplateParserActor`: one parser per
-    worker process, built on first use."""
-    global _TEMPLATE_PARSER
-    if _TEMPLATE_PARSER is None:
-        _TEMPLATE_PARSER = TemplateParserActor()
-    return _TEMPLATE_PARSER(batch)
+    """Stateless-task form of :class:`TemplateParserActor`: a parser per
+    batch, over the templates ``compiled_templates`` compiles once per
+    process."""
+    return TemplateParserActor()(batch)

@@ -368,7 +368,7 @@ def test_extraction_config_partitions_stage_memo():
     kinds_default = set(default.column("rel_kind").to_pylist())
     assert "amend_fine" in kinds_default
     assert "amend_fine" not in set(off.column("rel_kind").to_pylist())
-    # and the default memo was not poisoned by the off-config call
+    # and the off-config call does not leak into a later default call
     again = extract_triples(batch)
     assert again.equals(default)
 

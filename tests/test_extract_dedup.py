@@ -1,11 +1,12 @@
 """Dedup-then-expand extraction against an independent per-row reference.
 
 ``stages.extract.extract_linked`` runs the cascade and entity linking once
-per distinct parse (memoized per process) and expands the results to rows
-with a vectorized take.  The reference here calls ``process_sentence`` and
-``link_surface`` directly for every row, in row order, with no memo and no
-dedup — so these tests pin both the values and the per-batch row order
-(rows in batch order, triples within a row in stream order).
+per distinct parse of its batch, keeping nothing between batches, and
+expands the results to rows with a vectorized take.  The reference here
+calls ``process_sentence`` and ``link_surface`` directly for every row, in
+row order, with no dedup — so these tests pin both the values and the
+per-batch row order (rows in batch order, triples within a row in stream
+order).
 """
 
 import random
@@ -39,6 +40,18 @@ from chinese_open_relation_extraction_for_entgraph_ray.stages.parse import (
 
 FALLBACK = "嗯嗯啊啊然后呢"          # no template matches: single-HED parse
 ZERO_TRIPLES = "他研究技术。"        # template parse, every triple filtered
+# turns at the edges of sentence splitting and normalization
+ADVERSARIAL_TURNS = [
+    "",                                     # empty turn
+    "张三去了",                             # 4 Chinese chars: dropped
+    "张三去法国",                           # 5: kept
+    "张伟访问数据" * 71 + "张伟访问",       # 430: kept whole
+    "张伟访问数据" * 71 + "张伟访问数",     # 431: re-chunked
+    "张伟用Python访问了数据API。",          # mixed CJK/ASCII
+    "你我他她它的。他们这些那些。",         # stop words only
+    "张伟访问\x00数据。",                  # NUL byte, dropped by normalization
+    "他说「“张伟访问数据”」。「“李四去法国旅游。”」",   # nested quotes
+]
 
 
 def _sentences(texts: list[str]) -> pa.Table:
@@ -55,6 +68,10 @@ def _corpus_texts() -> list[str]:
     texts = [s for conv in GOLDEN_CONVS for turn in conv
              for s in split_text(turn)]
     assert ZERO_TRIPLES in texts
+    texts += [s for turn in ADVERSARIAL_TURNS for s in split_text(turn)]
+    assert "张三去法国" in texts and "张三去了" not in texts
+    assert {len(s) for s in texts} >= {5, 430}
+    assert "张伟访问数据。" in texts        # the NUL turn, normalized
     # every sentence repeated a varying number of times, shuffled
     rng = random.Random(7)
     out = [t for i, t in enumerate(texts) for _ in range(1 + i % 4)]
@@ -81,11 +98,6 @@ def _reference_rows(parses: pa.Table) -> list[dict]:
                     "subj_ent": link_surface(subj),
                     "obj_ent": link_surface(obj)})
     return rows
-
-
-@pytest.fixture
-def cold_memo(monkeypatch):
-    monkeypatch.setattr(extract, "_EXTRACT_MEMO", {})
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +129,7 @@ def test_template_parse_checks_every_row():
         Broken()(_sentences(["张伟访问数据。", FALLBACK, FALLBACK]))
 
 
-def test_extract_linked_equals_per_row_reference(parses, cold_memo):
+def test_extract_linked_equals_per_row_reference(parses):
     want = _reference_rows(parses)
     got, stats = extract.extract_linked(parses)
     assert got.schema == extract.LINKED_TRIPLES_SCHEMA
@@ -129,12 +141,10 @@ def test_extract_linked_equals_per_row_reference(parses, cold_memo):
     assert n_one_word >= 2      # FALLBACK, repeated
     assert stats == {"n_sentences": parses.num_rows,
                      "n_distinct_parses": n_distinct,
-                     "memo_misses": n_distinct, "memo_full": 0,
                      "n_one_word_parses": n_one_word}
-    # warm memo: same rows, no misses
-    again, stats = extract.extract_linked(parses)
-    assert again.equals(got)
-    assert stats["memo_misses"] == 0
+    # no state between calls: the same batch gives the same rows and counts
+    again, again_stats = extract.extract_linked(parses)
+    assert again.equals(got) and again_stats == stats
     # the public stage function is the same rows minus the entity columns
     plain = extract.extract_triples(parses)
     assert plain.schema == extract.TRIPLES_SCHEMA
@@ -142,15 +152,34 @@ def test_extract_linked_equals_per_row_reference(parses, cold_memo):
 
 
 @pytest.mark.parametrize("cut", [0, 1, 17, 40, -1])
-def test_batch_split_and_memo_state_do_not_change_rows(parses, cold_memo, cut):
+def test_batch_split_does_not_change_rows(parses, cut):
     cut = cut % (parses.num_rows + 1)
     want = _reference_rows(parses)
-    head, _ = extract.extract_linked(parses.slice(0, cut))     # cold memo
-    tail, _ = extract.extract_linked(parses.slice(cut))        # partly warm
+    head, _ = extract.extract_linked(parses.slice(0, cut))
+    tail, _ = extract.extract_linked(parses.slice(cut))
     assert pa.concat_tables([head, tail]).to_pylist() == want
 
 
-def test_zero_triple_fallback_and_empty_batches(parses, cold_memo):
+def test_cascade_runs_once_per_distinct_parse_of_every_call(parses,
+                                                            monkeypatch):
+    """Each call runs the cascade for every distinct parse of its batch and
+    for nothing else: no result is kept from an earlier call."""
+    calls = []
+    linked_rows = extract._linked_rows
+
+    def spy(words, heads, deprels, config):
+        calls.append("".join(words))
+        return linked_rows(words, heads, deprels, config)
+
+    monkeypatch.setattr(extract, "_linked_rows", spy)
+    n_distinct = len(set(parses.column("text").to_pylist()))
+    for _ in range(2):
+        calls.clear()
+        extract.extract_linked(parses)
+        assert len(calls) == len(set(calls)) == n_distinct
+
+
+def test_zero_triple_fallback_and_empty_batches(parses):
     for text in (FALLBACK, ZERO_TRIPLES):
         only = parses.filter(pc.equal(parses.column("text"), text))
         assert only.num_rows > 1
@@ -165,23 +194,10 @@ def test_zero_triple_fallback_and_empty_batches(parses, cold_memo):
     got, stats = extract.extract_linked(parses.slice(0, 0))
     assert got.num_rows == 0 and got.schema == extract.LINKED_TRIPLES_SCHEMA
     assert stats == {"n_sentences": 0, "n_distinct_parses": 0,
-                     "memo_misses": 0, "memo_full": 0,
                      "n_one_word_parses": 0}
     # a parses batch without the text column (extract_triples contract)
     assert extract.extract_triples(parses.drop_columns(["text"])).equals(
         extract.extract_triples(parses))
-
-
-def test_full_memo_stops_caching_without_changing_rows(parses, cold_memo,
-                                                       monkeypatch):
-    monkeypatch.setattr(extract, "_EXTRACT_MEMO_MAX", 2)
-    want = _reference_rows(parses)
-    got, stats = extract.extract_linked(parses)
-    assert got.to_pylist() == want
-    assert stats["memo_full"] == stats["memo_misses"] - 2 > 0
-    got, stats = extract.extract_linked(parses)
-    assert got.to_pylist() == want
-    assert stats["memo_misses"] == stats["n_distinct_parses"] - 2
 
 
 def test_link_entities_links_each_row():

@@ -141,19 +141,42 @@ def test_lineage_manifests_written(kg):
         assert manifest["partitions"]
 
 
-def test_triples_manifest_counts_memo_work(kg):
-    """The triples stage reports its dedup work: every sentence is counted,
-    the cascade runs at most once per distinct parse of a batch, and a miss
-    that is not cached (memo at its cap) is counted too."""
+# n_partitions: the extract batches that reported (merge_metric_records)
+EXTRACTION_COUNTS = {"n_partitions", "n_sentences", "n_distinct_parses",
+                     "n_one_word_parses", "n_triples", "n_linked_subj",
+                     "n_linked_obj", "n_negated"}
+
+
+def _extraction_record(out_dir: str, triples) -> dict:
+    """The triples manifest's ``metrics.extraction``, checked to hold exactly
+    the fixed counts plus one ``n_<rel_kind>`` per kind in ``triples``."""
     import json
 
-    with open(os.path.join(ODIR, "triples", "_lineage.json")) as fp:
+    with open(os.path.join(out_dir, "triples", "_lineage.json")) as fp:
         ext = json.load(fp)["metrics"]["extraction"]
-    assert ext["n_sentences"] == kg["parses"].count() > 0
-    assert 0 <= ext["memo_misses"] <= ext["n_distinct_parses"] \
-        <= ext["n_sentences"]
-    assert 0 <= ext["memo_full"] <= ext["memo_misses"]
-    assert ext["n_triples"] == kg["triples"].count()
+    kinds = set(triples.unique("rel_kind"))
+    assert set(ext) == EXTRACTION_COUNTS | {f"n_{k}" for k in kinds}
+    return ext
+
+
+def test_triples_manifest_schema_and_counts_add_up(kg):
+    """The triples stage reports a fixed set of counts, and they add up:
+    the per-kind counts are the triples written of each kind and sum to
+    all of them, the cascade runs at most once per sentence, and no subset
+    count exceeds its whole."""
+    ext = _extraction_record(ODIR, kg["triples"])
+    n = kg["triples"].count()
+    assert sum(v for k, v in ext.items()
+               if k not in EXTRACTION_COUNTS) == ext["n_triples"] == n > 0
+    per_kind = kg["triples"].to_pandas()["rel_kind"].value_counts()
+    assert {f"n_{k}": v for k, v in per_kind.items()} == \
+        {k: v for k, v in ext.items() if k not in EXTRACTION_COUNTS}
+    assert ext["n_sentences"] == kg["parses"].count()
+    assert ext["n_partitions"] >= 1
+    assert 0 < ext["n_distinct_parses"] <= ext["n_sentences"]
+    assert 0 <= ext["n_one_word_parses"] <= ext["n_sentences"]
+    for k in ("n_linked_subj", "n_linked_obj", "n_negated"):
+        assert 0 <= ext[k] <= ext["n_triples"]
 
 
 def test_parse_pool_sizing_needs_parser_cls(tmp_path):
@@ -256,8 +279,9 @@ def test_sharded_triples_mid_stage_resume(ray_session):
         "triples/shard-0001", "triples", "edges", "entities"]
     assert r2["triples"].count() == len(a)
     m = json.load(open(os.path.join(sdir, "triples/_lineage.json")))
-    # merged metrics still cover every shard, not just the recomputed one
-    assert m["metrics"]["extraction"]["n_triples"] == len(a)
+    # merged metrics still cover every shard, not just the recomputed one,
+    # with the fused build's key set
+    assert _extraction_record(sdir, r2["triples"])["n_triples"] == len(a)
     fused_m = json.load(open(os.path.join(ODIR, "triples/_lineage.json")))
     assert m["metrics"]["extraction"]["n_one_word_parses"] == \
         fused_m["metrics"]["extraction"]["n_one_word_parses"]
