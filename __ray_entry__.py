@@ -3,11 +3,11 @@
 Ray is initialised by the driver BEFORE this module is imported; nothing here
 calls ray.init()/ray.shutdown().
 
-Query families (SURVEY.md §2 + §8 coverage; 65 queries, 41 with exact DuckDB
-oracles — incl. the r3 shingle-Jaccard near-dup family, the full curation
-pipeline and the recursive-CTE cluster closure — the rest rows-only where
-SQL can't express the op.  Registry order is load-bearing: see
-``queries()``):
+Query families (SURVEY.md §2 + §8 coverage; most queries have an exact
+DuckDB oracle in ``oracle_sql()`` — incl. the shingle-Jaccard near-dup
+family, the full curation pipeline and the recursive-CTE cluster closure —
+the rest run rows-only where SQL can't express the op.  Registry order is
+load-bearing: see ``queries()``):
 - kg_*                — the flagship KG pipeline over the deterministic
                         synthetic transcripts (rule cascade -> rows-only),
                         plus stats/sample/reject side outputs.

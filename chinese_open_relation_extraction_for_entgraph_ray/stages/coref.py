@@ -13,19 +13,22 @@ and re-extracted, and the delta is computed as a serialize_rel anti-join
 against the original sentence's triples (the M19 dedup,
 dudepparse.py:2157-2166).
 
-Ray mapping: ``groupby(conv_id).map_groups`` — the ONLY stage needing
-cross-sentence state, keyed and sorted exactly like the reference's per-doc
-loop; per-turn text equality and turn ordering are preserved because rows are
-re-sorted inside the group, never by block order.
+Ray mapping: ``stages/blockgroup.sorted_map_groups`` keyed by conv_id (one
+sort, the per-conversation function inline per block) — the ONLY stage
+needing cross-sentence state, keyed and sorted exactly like the reference's
+per-doc loop; per-turn text equality and turn ordering are preserved because
+rows are re-sorted inside the group, never by block order.
 """
 
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.cascade import process_sentence, serialize_rel
 from ..functions.grammar import parse_sentence
 from ..functions.lexicon import NER_GAZETTEER, PRONOUNS, pos_map_for_words
+from .blockgroup import sorted_map_groups
 
 _PERSONS = {w for w, label in NER_GAZETTEER.items() if label == "PERSON"}
 _PRONOUN_SET = set(PRONOUNS)
@@ -118,10 +121,6 @@ def corefed_sentence_rows(parses_ds):
     text (conv_id, turn_idx, sent_idx, text, antecedent) — the M18 input.
     Sorted-block grouped apply keyed by conv_id; no per-conversation
     dispatch at scale."""
-    import pyarrow as pa
-
-    from .blockgroup import sorted_map_groups
-
     schema = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32()),
                         ("sent_idx", pa.int32()), ("text", pa.string()),
                         ("antecedent", pa.string())])
@@ -129,22 +128,13 @@ def corefed_sentence_rows(parses_ds):
                              conversation_substitutions, schema=schema)
 
 
-COREF_SCHEMA = None     # built lazily (needs pyarrow)
-
-
-def _coref_schema():
-    import pyarrow as pa
-
-    global COREF_SCHEMA
-    if COREF_SCHEMA is None:
-        COREF_SCHEMA = pa.schema([
-            ("conv_id", pa.string()), ("turn_idx", pa.int32()),
-            ("sent_idx", pa.int32()), ("rel_kind", pa.string()),
-            ("subj", pa.string()), ("pred", pa.string()),
-            ("obj", pa.string()), ("subj_idx", pa.int32()),
-            ("pred_idx", pa.int32()), ("obj_idx", pa.int32()),
-            ("antecedent", pa.string())])
-    return COREF_SCHEMA
+COREF_SCHEMA = pa.schema([
+    ("conv_id", pa.string()), ("turn_idx", pa.int32()),
+    ("sent_idx", pa.int32()), ("rel_kind", pa.string()),
+    ("subj", pa.string()), ("pred", pa.string()),
+    ("obj", pa.string()), ("subj_idx", pa.int32()),
+    ("pred_idx", pa.int32()), ("obj_idx", pa.int32()),
+    ("antecedent", pa.string())])
 
 
 def coref_chain_buckets(parses_ds) -> "pd.DataFrame":
@@ -156,9 +146,6 @@ def coref_chain_buckets(parses_ds) -> "pd.DataFrame":
     ones (one exact distinct-key aggregate).  Returns a small DataFrame
     (n_chains, n_conversations) — bounded by the max chains in any single
     conversation."""
-    import pandas as pd
-    import pyarrow as pa
-
     from ray.data.aggregate import Count
 
     from .groupagg import sorted_hash_aggregate
@@ -203,13 +190,10 @@ def coref_delta_triples(parses_ds, scale: bool = True):
 
     ``scale=True`` (default): the sorted-block grouped apply
     (``stages/blockgroup.sorted_map_groups``) — one sort by conv_id,
-    :func:`coref_conversation` runs inline per block, boundary-straddling
-    conversations through the tiny second pass."""
+    :func:`coref_conversation` runs inline per block of whole
+    conversations."""
     if not scale:
         return parses_ds.groupby("conv_id").map_groups(
             coref_conversation, batch_format="pandas")
-
-    from .blockgroup import sorted_map_groups
-
     return sorted_map_groups(parses_ds, ["conv_id"], coref_conversation,
-                             schema=_coref_schema())
+                             schema=COREF_SCHEMA)

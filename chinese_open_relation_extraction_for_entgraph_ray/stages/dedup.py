@@ -5,11 +5,12 @@ Shuffle shapes (the part that must hold at 100 TB):
   One exchange, keyed on a uniform hash — no skew.
 - MinHash-LSH: per-batch vectorized signature computation (numpy, no Python
   per-shingle loops over rows) -> explode to (band, band_hash, doc_id) rows ->
-  groupby(band, band_hash) -> candidate pairs emitted per bucket ->
-  Jaccard-verified.  Buckets are tiny by construction; a pathological bucket
-  is capped (MAX_BUCKET) and logged rather than exploding quadratically.
-- SimHash: 64-bit signature per doc; 4x16-bit band buckets -> same groupby
-  pattern; Hamming-verified.
+  one sort by bucket (``blockgroup.sorted_map_groups``) -> candidate pairs
+  emitted per bucket -> Jaccard-verified.  Buckets are tiny by construction;
+  a pathological bucket is capped (MAX_BUCKET) and logged rather than
+  exploding quadratically.
+- SimHash: 64-bit signature per doc; 4x16-bit band buckets -> same
+  exchange; Hamming-verified.
 
 All hashing is seed-stable (md5/crc-based), never Python ``hash``.
 """
@@ -17,12 +18,12 @@ All hashing is seed-stable (md5/crc-based), never Python ``hash``.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 
 import numpy as np
 import pyarrow as pa
 
+from .blockgroup import bucket_members, sorted_map_groups
 from .textstats import re2_tokens
 
 logger = logging.getLogger(__name__)
@@ -150,23 +151,6 @@ def add_minhash_bands(batch: pa.Table) -> pa.Table:
          pa.array(np.concatenate(band_cols)),
          pa.array(np.tile(doc_ids, BANDS))],
         names=["band", "band_hash", "doc_id"])
-
-
-def bucket_candidate_pairs(group: pa.Table) -> pa.Table:
-    """One LSH bucket -> candidate (a, b) pairs, capped against blow-up.
-    Pairs via ``np.triu_indices`` like the sibling pair emitters (the
-    hamming/cosine paths) — no Python combinations loop; Arrow in/out
-    so the boundary-bucket second pass skips the pandas block copy."""
-    all_ids = np.sort(group.column("doc_id").to_numpy(zero_copy_only=False))
-    if len(all_ids) > MAX_BUCKET:
-        _log_bucket_caps([len(all_ids)])
-    ids = all_ids[:MAX_BUCKET].astype(np.int64, copy=False)
-    if len(ids) < 2:
-        empty = pa.array([], pa.int64())
-        return pa.Table.from_arrays([empty, empty], names=["a", "b"])
-    iu, ju = np.triu_indices(len(ids), 1)
-    return pa.Table.from_arrays(
-        [pa.array(ids[iu]), pa.array(ids[ju])], names=["a", "b"])
 
 
 def jaccard(text_a: str, text_b: str, k: int = 3) -> float:
@@ -377,115 +361,48 @@ def ngram_novelty(docs_ds, k: int = 3):
     return per_doc.map_batches(finish, batch_format="pyarrow")
 
 
-def _block_pairs_and_edges(batch: pa.Table) -> pa.Table:
-    """Pair generation over one bucket-sorted block — vectorized.
-
-    Buckets fully inside the block emit their pairs here (kind=1 rows with
-    a/b set).  The block's first and last buckets may straddle a block
-    boundary, so their member rows pass through unsolved (kind=0) to a tiny
-    second pass that sees each straddling bucket whole.  Double-generated
-    pairs are collapsed by the final groupby(a, b).
-
-    LSH buckets are overwhelmingly singletons, so bucket boundaries come
-    from a numpy run-length scan over the sorted (band, band_hash) stream;
-    Python touches ONLY multi-member buckets (a per-group pandas iteration
-    here measured ~50 µs x millions of singleton buckets — the dominant
-    cost of the whole pair-generation stage before this rewrite)."""
-    out_a: list = []      # per-bucket numpy id arrays
-    out_b: list = []
-    n_edges = 0
-    edge_tbl = None
-    if batch.num_rows:
-        band = batch.column("band").to_numpy()
-        bh = batch.column("band_hash").to_numpy()
-        doc = batch.column("doc_id").to_numpy()
-        n = len(band)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(band[1:], band[:-1], out=change[1:])
-        change[1:] |= bh[1:] != bh[:-1]
-        group_id = np.cumsum(change) - 1
-        last_gid = group_id[-1]
-        counts = np.bincount(group_id)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        edge_mask = (group_id == 0) | (group_id == last_gid)
-        edge_tbl = batch.filter(pa.array(edge_mask))
-        n_edges = edge_tbl.num_rows
-        truncated: list[int] = []
-        for g in np.nonzero(counts >= 2)[0]:
-            if g == 0 or g == last_gid:
-                continue
-            members = doc[starts[g]:starts[g] + counts[g]]
-            if len(members) > MAX_BUCKET:
-                truncated.append(len(members))
-            ids = np.sort(members)[:MAX_BUCKET]
-            iu, ju = np.triu_indices(len(ids), 1)   # vectorized pair emit
-            out_a.append(ids[iu])
-            out_b.append(ids[ju])
-        _log_bucket_caps(truncated)
-    pa_a = np.concatenate(out_a) if out_a else np.array([], dtype=np.int64)
-    pa_b = np.concatenate(out_b) if out_b else np.array([], dtype=np.int64)
-    n_pairs = len(pa_a)
-    edge_band = edge_tbl.column("band").to_pylist() if n_edges else []
-    edge_hash = edge_tbl.column("band_hash").to_pylist() if n_edges else []
-    edge_doc = edge_tbl.column("doc_id").to_pylist() if n_edges else []
-    return pa.Table.from_arrays(
-        [pa.array([1] * n_pairs + [0] * n_edges, pa.int8()),
-         pa.array(np.concatenate([pa_a, np.zeros(n_edges, np.int64)]),
-                  pa.int64()),
-         pa.array(np.concatenate([pa_b, np.zeros(n_edges, np.int64)]),
-                  pa.int64()),
-         pa.array([0] * n_pairs + edge_band, pa.int32()),
-         pa.array([0] * n_pairs + edge_hash, pa.int64()),
-         pa.array([0] * n_pairs + edge_doc, pa.int64())],
-        names=["kind", "a", "b", "band", "band_hash", "doc_id"])
+def _minhash_bucket_pairs(batch: pa.Table) -> pa.Table:
+    """Whole LSH buckets, contiguous by (band, band_hash) -> one (a, b,
+    n_bands=1) row per candidate pair of every bucket (a <= b), each bucket
+    capped at its first MAX_BUCKET doc_ids — the cap logged, never
+    silent."""
+    doc = batch.column("doc_id").to_numpy()
+    members, truncated = bucket_members(batch, ["band", "band_hash"],
+                                        "doc_id", MAX_BUCKET)
+    _log_bucket_caps(truncated)
+    out_a, out_b = [], []
+    for idx in members:
+        iu, ju = np.triu_indices(len(idx), 1)   # vectorized pair emit
+        out_a.append(doc[idx[iu]])
+        out_b.append(doc[idx[ju]])
+    a = np.concatenate(out_a) if out_a else np.array([], np.int64)
+    b = np.concatenate(out_b) if out_b else np.array([], np.int64)
+    return pa.table({"a": a, "b": b,
+                     "n_bands": np.ones(len(a), dtype=np.int64)})
 
 
 def minhash_candidate_pairs(docs_ds):
     """docs -> verified-unique candidate pairs (a < b) from MinHash-LSH.
 
-    Shuffle plan: signatures -> exploded band rows -> ONE sort by bucket ->
-    vectorized per-block pair generation, with only boundary-straddling
-    buckets (<= 2 per block, independent of data size) routed through a
-    per-group second pass — this avoids a per-group Python call for every
-    one of the (mostly singleton) LSH buckets.
+    Shuffle plan: signatures -> exploded band rows -> ONE sort by bucket
+    (:func:`stages.blockgroup.sorted_map_groups`) -> vectorized pair
+    generation per block of whole buckets, with no per-group Python call
+    for the (mostly singleton) LSH buckets.
     """
-    mixed = (docs_ds.map_batches(add_minhash_bands, batch_format="pyarrow")
-             .sort(["band", "band_hash"])
-             .map_batches(_block_pairs_and_edges, batch_format="pyarrow",
-                          batch_size=None)
-             .materialize())   # small (pairs + edge-bucket rows); consumed twice
-    inner = mixed.filter(expr="kind == 1")
+    from .groupagg import auto_hash_aggregate
 
-    def _sel_pairs(batch: pa.Table) -> pa.Table:
-        return batch.select(["a", "b"])
-
-    def _sel_edges(batch: pa.Table) -> pa.Table:
-        return batch.select(["band", "band_hash", "doc_id"])
-
-    edge_pairs = (mixed.filter(expr="kind == 0")
-                  .map_batches(_sel_edges, batch_format="pyarrow")
-                  .groupby(["band", "band_hash"])
-                  .map_groups(bucket_candidate_pairs,
-                              batch_format="pyarrow"))
-    all_pairs = inner.map_batches(_sel_pairs, batch_format="pyarrow") \
-                     .union(edge_pairs)
-
+    pairs = sorted_map_groups(
+        docs_ds.map_batches(add_minhash_bands, batch_format="pyarrow"),
+        ["band", "band_hash"], block_fn=_minhash_bucket_pairs,
+        schema=pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                          ("n_bands", pa.int64())]),
+        arrow_blocks=True)
     # final pair dedupe: a pair is emitted once per agreeing band (up to
     # BANDS x), so the per-block pre-combine of auto_hash_aggregate
     # collapses the duplication BEFORE any exchange, and the observed-
     # cardinality dispatch skips the sort entirely when the surviving
-    # pair count is small (Ray's builtin groupby reduce — ~ms/group —
-    # remains out of the picture either way)
-    from .groupagg import auto_hash_aggregate
-
-    def add_one(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "n_bands", pa.array(np.ones(batch.num_rows, dtype=np.int64)))
-
-    return auto_hash_aggregate(
-        all_pairs.map_batches(add_one, batch_format="pyarrow"),
-        ["a", "b"], [("n_bands", "sum")])
+    # pair count is small
+    return auto_hash_aggregate(pairs, ["a", "b"], [("n_bands", "sum")])
 
 
 def simhash_near_dups(docs_ds, max_hamming: int = 3):
@@ -494,9 +411,8 @@ def simhash_near_dups(docs_ds, max_hamming: int = 3):
     bands — complete by pigeonhole EXCEPT where a band bucket exceeds
     MAX_BUCKET and is deterministically capped to its first MAX_BUCKET
     doc_ids, the logged scale guard; the SQL oracle mirrors the cap
-    exactly), verified by exact Hamming distance — the same sort-based
-    block pair generation as the MinHash path (one exchange, boundary
-    buckets through a tiny second pass), with signatures riding along so
+    exactly), verified by exact Hamming distance — the same sorted-block
+    pair generation as the MinHash path, with signatures riding along so
     verification needs no extra join.  Returns (a, b, hamming) rows."""
 
     def explode_bands(batch: pa.Table) -> pa.Table:
@@ -510,103 +426,41 @@ def simhash_near_dups(docs_ds, max_hamming: int = 3):
                 names=["band", "band_hash", "doc_id", "sig"]))
         return pa.concat_tables(parts)
 
-    def block_pairs(batch: pa.Table, skip_edges: bool = True) -> pa.Table:
-        """RLE over the sorted bucket stream; Python touches only
-        multi-member buckets (same no-Python-on-singletons shape as the
-        MinHash pair generator).  Arrow in/out — the int columns come
-        off the sorted block zero-copy."""
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        out_h: list[np.ndarray] = []
-        n = batch.num_rows
-        edge_band = np.array([], np.int32)
-        edge_bh = np.array([], np.int32)
-        edge_doc = np.array([], np.int64)
-        edge_sig = np.array([], np.int64)
-        if n:
-            band = batch.column("band").to_numpy(zero_copy_only=False)
-            bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
-            doc = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            sig = batch.column("sig").to_numpy(zero_copy_only=False)
-            change = np.empty(n, dtype=bool)
-            change[0] = True
-            np.not_equal(band[1:], band[:-1], out=change[1:])
-            change[1:] |= bh[1:] != bh[:-1]
-            group_id = np.cumsum(change) - 1
-            last_gid = group_id[-1]
-            counts = np.bincount(group_id)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            if skip_edges:
-                em = (group_id == 0) | (group_id == last_gid)
-                edge_band = band[em].astype(np.int32, copy=False)
-                edge_bh = bh[em].astype(np.int32, copy=False)
-                edge_doc = doc[em].astype(np.int64, copy=False)
-                edge_sig = sig[em].astype(np.int64, copy=False)
-            truncated: list[int] = []
-            for g in np.nonzero(counts >= 2)[0]:
-                if skip_edges and (g == 0 or g == last_gid):
-                    continue
-                sl = slice(starts[g], starts[g] + counts[g])
-                order = np.argsort(doc[sl], kind="stable")
-                if len(order) > MAX_BUCKET:
-                    truncated.append(len(order))
-                    order = order[:MAX_BUCKET]
-                d = doc[sl][order]
-                h_mat = hamming64_matrix(sig[sl][order])   # vectorized
-                iu, ju = np.triu_indices(len(d), 1)
-                keep = h_mat[iu, ju] <= max_hamming
-                out_a.append(d[iu[keep]])
-                out_b.append(d[ju[keep]])
-                out_h.append(h_mat[iu, ju][keep])
-            _log_bucket_caps(truncated)
-        cat_a = np.concatenate(out_a) if out_a else np.array([], np.int64)
-        cat_b = np.concatenate(out_b) if out_b else np.array([], np.int64)
-        cat_h = np.concatenate(out_h) if out_h else np.array([], np.int32)
-        n_pairs = len(cat_a)
-        n_edges = len(edge_doc)
-        return pa.Table.from_arrays(
-            [pa.array([1] * n_pairs + [0] * n_edges, pa.int8()),
-             pa.array(np.concatenate([cat_a, np.zeros(n_edges, np.int64)]),
-                      pa.int64()),
-             pa.array(np.concatenate([cat_b, np.zeros(n_edges, np.int64)]),
-                      pa.int64()),
-             pa.array(np.concatenate([cat_h.astype(np.int32),
-                                      np.zeros(n_edges, np.int32)]),
-                      pa.int32()),
-             pa.array(np.concatenate([np.zeros(n_pairs, np.int32),
-                                      edge_band]), pa.int32()),
-             pa.array(np.concatenate([np.zeros(n_pairs, np.int32),
-                                      edge_bh]), pa.int32()),
-             pa.array(np.concatenate([np.zeros(n_pairs, np.int64),
-                                      edge_doc]), pa.int64()),
-             pa.array(np.concatenate([np.zeros(n_pairs, np.int64),
-                                      edge_sig]), pa.int64())],
-            names=["kind", "a", "b", "hamming",
-                   "band", "band_hash", "doc_id", "sig"])
+    def bucket_pairs(batch: pa.Table) -> pa.Table:
+        """Whole band buckets -> (a, b, hamming) for every in-bucket pair
+        within ``max_hamming``; buckets capped at their first MAX_BUCKET
+        doc_ids (logged)."""
+        doc = batch.column("doc_id").to_numpy()
+        sig = batch.column("sig").to_numpy()
+        members, truncated = bucket_members(batch, ["band", "band_hash"],
+                                            "doc_id", MAX_BUCKET)
+        _log_bucket_caps(truncated)
+        out_a, out_b, out_h = [], [], []
+        for idx in members:
+            d = doc[idx]
+            h_mat = hamming64_matrix(sig[idx])   # vectorized
+            iu, ju = np.triu_indices(len(d), 1)
+            keep = h_mat[iu, ju] <= max_hamming
+            out_a.append(d[iu[keep]])
+            out_b.append(d[ju[keep]])
+            out_h.append(h_mat[iu, ju][keep])
+        return pa.table({
+            "a": np.concatenate(out_a) if out_a else np.array([], np.int64),
+            "b": np.concatenate(out_b) if out_b else np.array([], np.int64),
+            "hamming": (np.concatenate(out_h) if out_h
+                        else np.array([], np.int32))})
 
-    mixed = (docs_ds.map_batches(explode_bands, batch_format="pyarrow")
-             .sort(["band", "band_hash"])
-             .map_batches(block_pairs, batch_format="pyarrow",
-                          batch_size=None)
-             .materialize())   # small: pairs + boundary-bucket rows
-    inner = mixed.filter(expr="kind == 1") \
-                 .map_batches(lambda b: b.select(["a", "b", "hamming"]),
-                              batch_format="pyarrow")
-    edge_pairs = (mixed.filter(expr="kind == 0")
-                  .map_batches(lambda b: b.select(
-                      ["band", "band_hash", "doc_id", "sig"]),
-                      batch_format="pyarrow")
-                  .repartition(1)
-                  .map_batches(lambda b: block_pairs(b, skip_edges=False),
-                               batch_format="pyarrow", batch_size=None)
-                  .map_batches(lambda b: b.select(["a", "b", "hamming"]),
-                               batch_format="pyarrow"))
     from .groupagg import auto_hash_aggregate
 
+    pairs = sorted_map_groups(
+        docs_ds.map_batches(explode_bands, batch_format="pyarrow"),
+        ["band", "band_hash"], block_fn=bucket_pairs,
+        schema=pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                          ("hamming", pa.int32())]),
+        arrow_blocks=True)
     # same shape as the MinHash pair dedupe: up to 4x banded duplication
     # collapsed by the pre-combine, sort skipped at small pair counts
-    return auto_hash_aggregate(inner.union(edge_pairs), ["a", "b"],
-                               [("hamming", "min")])
+    return auto_hash_aggregate(pairs, ["a", "b"], [("hamming", "min")])
 
 
 def jaccard_near_dups(docs_ds, threshold: float = 0.5, k: int = 3,
@@ -690,8 +544,8 @@ def shingle_intersections(docs_ds, k: int = 3,
     distributed inverted-index join:
 
         docs -> distinct (shingle_hash128, doc_id) index rows
-             -> ONE sort by shingle -> per-bucket pair emission (RLE block
-                scan; boundary buckets through a tiny second pass)
+             -> ONE sort by shingle -> per-bucket pair emission (RLE scan
+                over blocks of whole buckets, ``sorted_map_groups``)
              -> sorted-block count per (a, b)  == |shingle intersection|
              -> two keyed lookups attach |A| and |B|
 
@@ -761,106 +615,40 @@ def shingle_intersections(docs_ds, k: int = 3,
         # there merely keep a few extra shingles, never drop one
         index = semi_join(index, rare, left_key="h1", right_key="h1k")
 
-    def block_pairs(batch: pa.Table) -> pa.Table:
-        """RLE scan over the shingle-sorted stream: every fully-contained
-        bucket emits its pairs; boundary buckets pass through (kind=0)."""
-        out_a: list = []      # per-bucket numpy id arrays
-        out_b: list = []
-        edge_tbl = None
-        n_edges = 0
-        if batch.num_rows:
-            b1 = batch.column("h1").to_numpy()
-            b2 = batch.column("h2").to_numpy()
-            doc = batch.column("doc_id").to_numpy()
-            n = len(b1)
-            change = np.empty(n, dtype=bool)
-            change[0] = True
-            np.not_equal(b1[1:], b1[:-1], out=change[1:])
-            change[1:] |= b2[1:] != b2[:-1]
-            gid = np.cumsum(change) - 1
-            last = gid[-1]
-            counts = np.bincount(gid)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            edge_mask = (gid == 0) | (gid == last)
-            edge_tbl = batch.filter(pa.array(edge_mask))
-            n_edges = edge_tbl.num_rows
-            big = []
-            for g in np.nonzero(counts >= 2)[0]:
-                if g == 0 or g == last:
-                    continue
-                members = np.sort(doc[starts[g]:starts[g] + counts[g]])
-                if len(members) > 4096:
-                    big.append(int(len(members)))
-                iu, ju = np.triu_indices(len(members), 1)
-                out_a.append(members[iu])
-                out_b.append(members[ju])
-            if big:
-                logger.warning(
-                    "similar_pairs_exact: %d shingle bucket(s) over 4096 "
-                    "docs (sizes %s) — quadratic pair emission; consider "
-                    "max_df", len(big), sorted(big, reverse=True)[:5])
-        cat_a = np.concatenate(out_a) if out_a else np.array([], np.int64)
-        cat_b = np.concatenate(out_b) if out_b else np.array([], np.int64)
-        np_ = len(cat_a)
-        e1 = edge_tbl.column("h1").to_pylist() if n_edges else []
-        e2 = edge_tbl.column("h2").to_pylist() if n_edges else []
-        ed = edge_tbl.column("doc_id").to_pylist() if n_edges else []
-        return pa.Table.from_arrays(
-            [pa.array([1] * np_ + [0] * n_edges, pa.int8()),
-             pa.array(np.concatenate([cat_a, np.zeros(n_edges, np.int64)]),
-                      pa.int64()),
-             pa.array(np.concatenate([cat_b, np.zeros(n_edges, np.int64)]),
-                      pa.int64()),
-             pa.array([0] * np_ + e1, pa.int64()),
-             pa.array([0] * np_ + e2, pa.int64()),
-             pa.array([0] * np_ + ed, pa.int64())],
-            names=["kind", "a", "b", "h1", "h2", "doc_id"])
-
-    def edge_pairs_whole(batch: pa.Table) -> pa.Table:
-        """Boundary buckets gathered whole — same emission, no edge skip."""
-        import pandas as pd
-
-        out_a: list[int] = []
-        out_b: list[int] = []
-        if batch.num_rows:
-            df = pd.DataFrame({"h1": batch.column("h1").to_pylist(),
-                               "h2": batch.column("h2").to_pylist(),
-                               "doc_id": batch.column("doc_id").to_pylist()})
-            for _, grp in df.groupby(["h1", "h2"], sort=False):
-                members = sorted(grp["doc_id"].tolist())
-                for ai, bi in itertools.combinations(members, 2):
-                    out_a.append(ai)
-                    out_b.append(bi)
-        return pa.Table.from_arrays(
-            [pa.array(out_a, pa.int64()), pa.array(out_b, pa.int64())],
-            names=["a", "b"])
-
-    mixed = (index.sort(["h1", "h2"])
-             .map_batches(block_pairs, batch_format="pyarrow",
-                          batch_size=None)
-             .materialize())
-    inner = mixed.filter(expr="kind == 1").map_batches(
-        lambda b: b.select(["a", "b"]), batch_format="pyarrow")
-    edges = (mixed.filter(expr="kind == 0")
-             .map_batches(lambda b: b.select(["h1", "h2", "doc_id"]),
-                          batch_format="pyarrow")
-             .repartition(1)
-             .map_batches(edge_pairs_whole, batch_format="pyarrow",
-                          batch_size=None))
+    def bucket_pairs(batch: pa.Table) -> pa.Table:
+        """Whole shingle buckets -> one (a, b, n_shared=1) row per pair of
+        docs sharing the shingle (a <= b)."""
+        doc = batch.column("doc_id").to_numpy()
+        members, _ = bucket_members(batch, ["h1", "h2"], "doc_id")
+        out_a, out_b, big = [], [], []
+        for idx in members:
+            if len(idx) > 4096:
+                big.append(len(idx))
+            iu, ju = np.triu_indices(len(idx), 1)
+            out_a.append(doc[idx[iu]])
+            out_b.append(doc[idx[ju]])
+        if big:
+            logger.warning(
+                "similar_pairs_exact: %d shingle bucket(s) over 4096 "
+                "docs (sizes %s) — quadratic pair emission; consider "
+                "max_df", len(big), sorted(big, reverse=True)[:5])
+        a = np.concatenate(out_a) if out_a else np.array([], np.int64)
+        b = np.concatenate(out_b) if out_b else np.array([], np.int64)
+        return pa.table({"a": a, "b": b,
+                         "n_shared": np.ones(len(a), dtype=np.int64)})
 
     from .groupagg import auto_hash_aggregate
     from .joins import lookup_join
 
-    def add_one(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "n_shared", pa.array(np.ones(b.num_rows, dtype=np.int64)))
-
     # the pair stream carries one row per SHARED SHINGLE (multiplicity is
     # the intersection count) — the per-block pre-combine turns that into
     # one (pair, partial-count) row per block before any exchange
-    inter = auto_hash_aggregate(
-        inner.union(edges).map_batches(add_one, batch_format="pyarrow"),
-        ["a", "b"], [("n_shared", "sum")])
+    pairs = sorted_map_groups(
+        index, ["h1", "h2"], block_fn=bucket_pairs,
+        schema=pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                          ("n_shared", pa.int64())]),
+        arrow_blocks=True)
+    inter = auto_hash_aggregate(pairs, ["a", "b"], [("n_shared", "sum")])
     with_a = lookup_join(inter, sizes, left_key="a", right_key="doc_id",
                          payload=["n_shingles"], suffix="_a", how="inner")
     return lookup_join(with_a, sizes, left_key="b", right_key="doc_id",

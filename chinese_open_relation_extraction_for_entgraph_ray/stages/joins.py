@@ -1,20 +1,27 @@
-"""Distributed as-of join (an operator Ray Data lacks; task-brief custom op).
+"""Distributed keyed joins (Ray Data has none of these as exchanges):
 
-``asof_join(left, right, by, ts, right_payload)`` attaches, to every left
-row, the payload of the right row with the greatest timestamp <= the left
-row's timestamp within the same ``by`` key (classic event-attribution /
-point-in-time-correctness join).
+- ``lookup_join`` (inner / left), ``semi_join`` (semi / anti): broadcast the
+  right side when it is materialized and small, else the sorted-block
+  equi-join;
+- ``outer_join``: SQL FULL OUTER equi-join;
+- ``asof_join``: to every left row, the payload of the right row with the
+  greatest timestamp <= the left row's within the same ``by`` key
+  (point-in-time-correctness join);
+- ``interval_join``: left points inside right ``[start, end)`` intervals
+  of the same key.
 
-Implementation: both sides are tagged and unioned into one schema, then ONE
-sort by the key routes each key group through a merge-scan (pandas
-``merge_asof``) — executed block-wise via the sorted-block grouped apply
-(``stages/blockgroup.py``), so there is no per-key Python dispatch at 10^8+
-keys.  Partitioning assumption: one ``by`` group fits in a worker
-(salt/split by time range if a single key is bigger than a worker's heap)."""
+Every exchange here has one shape: both sides are tagged and unioned into
+one schema, then ONE sort by the key routes each key group, whole, through
+a polars/pandas join inside :func:`stages.blockgroup.sorted_map_groups` —
+no per-key Python dispatch at 10^8+ keys.  Partitioning assumption: one
+key group fits in a worker (salt/split a key bigger than a worker's heap).
+"""
 
 from __future__ import annotations
 
 import pyarrow as pa
+
+from .blockgroup import sorted_map_groups
 
 _JK, _JSIDE = "__jk", "__jside"
 
@@ -24,11 +31,9 @@ def _sorted_block_equijoin(left_ds, right_ds, *, left_key: str,
                            suffix: str, mode: str,
                            left_key_nullable: bool = True):
     """Distributed equi-join via the sorted-block pattern (no driver-side
-    key sets, no broadcast): tag + union both sides, ONE sort by the join
-    key, then a vectorized pandas merge/isin per block; only each block's
-    first/last key (which may straddle a block boundary — at most 2 per
-    block, independent of data size) is routed through a tiny second pass
-    that sees each straddling key whole.
+    key sets, no broadcast): tag + union both sides, then one vectorized
+    polars join per block of whole key groups through
+    :func:`stages.blockgroup.sorted_map_groups` (ONE sort by the join key).
 
     ``mode``: 'inner' / 'left' attach ``payload`` columns (as
     ``<col><suffix>``) of the matching right row — right keys are assumed
@@ -124,21 +129,12 @@ def _sorted_block_equijoin(left_ds, right_ds, *, left_key: str,
                        for c in payload]
         return pa.Table.from_arrays(arrays, schema=out_schema)
 
-    def block_join(batch: pa.Table, skip_edges: bool = True) -> pa.Table:
+    def block_join(batch: pa.Table) -> pa.Table:
         # stays in Arrow/polars end to end: a pandas round-trip would
         # coerce int64-with-nulls to float64 and silently corrupt values
         # above 2^53 — fatal for full-range 64-bit hash keys/payloads
         import polars as pl
 
-        if batch.num_rows and skip_edges:
-            # keys are non-null by construction (nulls split out at
-            # tagging), so equality comparisons are reliable here
-            jk = batch.column(_JK)
-            batch = batch.filter(pc.and_(
-                pc.not_equal(jk, jk[0]),
-                pc.not_equal(jk, jk[batch.num_rows - 1])))
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
         side = batch.column(_JSIDE)
         lefts = batch.filter(pc.equal(side, 1))
         rights = batch.filter(pc.equal(side, 0))
@@ -153,16 +149,6 @@ def _sorted_block_equijoin(left_ds, right_ds, *, left_key: str,
             ).select(out_cols)
         return out.to_arrow().cast(out_schema)
 
-    def edge_filter(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        n = batch.num_rows
-        if n == 0:
-            return batch
-        jk = batch.column(_JK)
-        return batch.filter(pc.or_(pc.equal(jk, jk[0]),
-                                   pc.equal(jk, jk[n - 1])))
-
     if mode in ("left", "anti") and left_key_nullable:
         # these modes consume left_ds TWICE (main scan + null-key scan);
         # pin the rows once so both scans agree even if the left pipeline
@@ -170,16 +156,8 @@ def _sorted_block_equijoin(left_ds, right_ds, *, left_key: str,
         left_ds = left_ds.materialize()
     tagged = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
         right_ds.map_batches(tag_right, batch_format="pyarrow"))
-    sorted_ds = tagged.sort([_JK, _JSIDE]).materialize()
-    inner = sorted_ds.map_batches(block_join, batch_format="pyarrow",
-                                  batch_size=None)
-    edges = (sorted_ds
-             .map_batches(edge_filter, batch_format="pyarrow",
-                          batch_size=None)
-             .repartition(1)
-             .map_batches(lambda t: block_join(t, skip_edges=False),
-                          batch_format="pyarrow", batch_size=None))
-    out = inner.union(edges)
+    out = sorted_map_groups(tagged, [_JK], block_fn=block_join,
+                            schema=out_schema, arrow_blocks=True)
     if mode in ("left", "anti") and left_key_nullable:
         # null left keys are kept by these modes (with null payload for
         # 'left') — second scan of the left side, see docstring
@@ -374,7 +352,7 @@ def outer_join(left_ds, right_ds, *, left_key: str, right_key: str,
     follow SQL: they match nothing and are kept one-sided — both sides are
     materialized internally and re-scanned once for their null-key rows
     (the cost of exact null semantics; the main path stays one sort
-    exchange, the same sorted-block pattern as the other modes)."""
+    exchange, the same sorted-block equi-join as the other modes)."""
     import pyarrow.compute as pc
 
     ls, rs = left_ds.schema(), right_ds.schema()
@@ -411,18 +389,11 @@ def outer_join(left_ds, right_ds, *, left_key: str, right_key: str,
             cols[oc] = pa.nulls(n, typ)
         return pa.Table.from_arrays([cols[c] for c in order], names=order)
 
-    def block_join(batch: pa.Table, skip_edges: bool = True) -> pa.Table:
+    def block_join(batch: pa.Table) -> pa.Table:
         # Arrow/polars end to end (a pandas round-trip would coerce
         # int64-with-nulls to float64, corrupting values above 2^53)
         import polars as pl
 
-        if batch.num_rows and skip_edges:
-            jk = batch.column(_JK)
-            batch = batch.filter(pc.and_(
-                pc.not_equal(jk, jk[0]),
-                pc.not_equal(jk, jk[batch.num_rows - 1])))
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
         side = batch.column(_JSIDE)
         lefts = batch.filter(pc.equal(side, 1)).select([_JK] + lp_out)
         rights = batch.filter(pc.equal(side, 0)).select([_JK] + rp_out)
@@ -431,14 +402,6 @@ def outer_join(left_ds, right_ds, *, left_key: str, right_key: str,
                      coalesce=True)
                .rename({_JK: key_out}).select(out_cols))
         return out.to_arrow().cast(out_schema)
-
-    def edge_filter(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return batch
-        jk = batch.column(_JK)
-        return batch.filter(pc.or_(pc.equal(jk, jk[0]),
-                                   pc.equal(jk, jk[n - 1])))
 
     def null_rows(batch: pa.Table, *, side: int) -> pa.Table:
         k = left_key if side else right_key
@@ -460,20 +423,13 @@ def outer_join(left_ds, right_ds, *, left_key: str, right_key: str,
                                   batch_format="pyarrow")
               .union(right_ds.map_batches(lambda b: tag(b, side=0),
                                           batch_format="pyarrow")))
-    sorted_ds = tagged.sort([_JK, _JSIDE]).materialize()
-    inner = sorted_ds.map_batches(block_join, batch_format="pyarrow",
-                                  batch_size=None)
-    edges = (sorted_ds
-             .map_batches(edge_filter, batch_format="pyarrow",
-                          batch_size=None)
-             .repartition(1)
-             .map_batches(lambda t: block_join(t, skip_edges=False),
-                          batch_format="pyarrow", batch_size=None))
+    joined = sorted_map_groups(tagged, [_JK], block_fn=block_join,
+                               schema=out_schema, arrow_blocks=True)
     nulls = (left_ds.map_batches(lambda b: null_rows(b, side=1),
                                  batch_format="pyarrow")
              .union(right_ds.map_batches(lambda b: null_rows(b, side=0),
                                          batch_format="pyarrow")))
-    return inner.union(edges).union(nulls)
+    return joined.union(nulls)
 
 
 def asof_join(left_ds, right_ds, *, by: str, ts: str,
@@ -537,8 +493,6 @@ def asof_join(left_ds, right_ds, *, by: str, ts: str,
                                      .replace("Uint", "UInt"))
         return pd.merge_asof(lf, rt, on=ts, by=by, direction="backward",
                              allow_exact_matches=True)
-
-    from .blockgroup import sorted_map_groups
 
     tagged_left = left_ds.map_batches(tag_left, batch_format="pyarrow")
     tagged_right = right_ds.map_batches(tag_right, batch_format="pyarrow")
@@ -620,8 +574,6 @@ def interval_join(left_ds, right_ds, *, by: str, point: str,
             out[oc] = merged[f"__r_{c}"]
         return pa.Table.from_pandas(out, schema=out_schema,
                                     preserve_index=False)
-
-    from .blockgroup import sorted_map_groups
 
     unioned = (left_ds.map_batches(tag_left, batch_format="pyarrow")
                .union(right_ds.map_batches(tag_right,

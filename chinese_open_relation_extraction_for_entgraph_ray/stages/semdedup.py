@@ -9,11 +9,11 @@ web-scale through semantic deduplication" — public arXiv method):
    one representative per greedy min-id rule (a vector is dropped iff it
    has cosine >= threshold with a LOWER-id vector in its cluster).
 
-Step 2 reuses the embedding-LSH block machinery
+Step 2 reuses the embedding-LSH pair generator
 (``similarity._emb_block_pairs``): cluster ids play the bucket role —
-one sort by cluster, vectorized sliced-GEMM pair generation per block,
-boundary-straddling clusters (<= 2 per block) through a tiny second
-pass, oversize clusters capped at MAX_EMB_BUCKET and LOGGED.
+one sort by cluster (``blockgroup.sorted_map_groups``), vectorized
+sliced-GEMM pair generation per block of whole clusters, oversize
+clusters capped at MAX_EMB_BUCKET and LOGGED.
 
 Scale shape: cluster population is O(n / n_clusters), so like the
 original paper n_clusters must GROW with the corpus (they use 50k
@@ -44,10 +44,11 @@ def semdedup(embeddings_ds, *, threshold: float = 0.95,
     ``n_clusters`` defaults to n / TARGET_CLUSTER_ROWS (>= 16) so the
     in-cluster O(m^2) exact-cosine stays bounded as the corpus grows.
     """
+    from .blockgroup import sorted_map_groups
     from .groupagg import auto_hash_aggregate
     from .joins import lookup_join
     from .kmeans import kmeans_embeddings
-    from .similarity import _emb_block_pairs
+    from .similarity import _EMB_PAIRS, _emb_block_pairs
 
     if n_clusters is None:
         n = n_vectors if n_vectors is not None else embeddings_ds.count()
@@ -91,30 +92,14 @@ def semdedup(embeddings_ds, *, threshold: float = 0.95,
     def _pairs(batch: pa.Table) -> pa.Table:
         return _emb_block_pairs(batch, threshold)
 
-    def _edge_pairs(batch: pa.Table) -> pa.Table:
-        return _emb_block_pairs(batch, threshold, skip_edges=False)
-
-    mixed = (embeddings_ds
-             .map_batches(to_bucket_rows, batch_format="pyarrow")
-             .sort(["table", "bucket"])
-             .map_batches(_pairs, batch_format="pyarrow", batch_size=None)
-             .materialize())
-    inner = mixed.filter(expr="kind == 1").map_batches(
-        lambda b: b.select(["a", "b"]), batch_format="pyarrow")
-    edge = (mixed.filter(expr="kind == 0")
-            .map_batches(lambda b: b.select(
-                ["vec_id", "table", "bucket", "embedding"]),
-                batch_format="pyarrow")
-            .sort(["table", "bucket"])
-            .repartition(1)
-            .map_batches(_edge_pairs, batch_format="pyarrow",
-                         batch_size=None)
-            .map_batches(lambda b: b.select(["a", "b"]),
-                         batch_format="pyarrow"))
+    pairs = sorted_map_groups(
+        embeddings_ds.map_batches(to_bucket_rows, batch_format="pyarrow"),
+        ["table", "bucket"], block_fn=_pairs, schema=_EMB_PAIRS,
+        arrow_blocks=True)
     # drop set = distinct b over pairs (a < b by construction): exactly
     # the vectors with a lower-id near-dup in their cluster
     drops = auto_hash_aggregate(
-        inner.union(edge).map_batches(
+        pairs.map_batches(
             lambda t: pa.Table.from_arrays(
                 [t.column("b"), t.column("a")], names=["b", "a"]),
             batch_format="pyarrow"),

@@ -4,7 +4,8 @@ Baseline: brute-force cosine top-k — the query matrix is broadcast once
 (``ray.put`` when large; literal capture here), each batch does one numpy
 matmul, and per-batch top-k candidates are reduced by a final sort+limit over
 the (tiny) candidate stream.  Scale path: LSH bucketing via random
-hyperplanes, same groupby pattern as MinHash — per-bucket exact rerank.
+hyperplanes, the same sorted-block bucket exchange as MinHash — per-bucket
+exact rerank.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.fputil import np_round_away
+from .blockgroup import bucket_members, sorted_map_groups
 
 N_HYPERPLANES = 12
 _rng = np.random.RandomState(0xBEEF)
@@ -217,96 +219,43 @@ def add_lsh_bands(batch: pa.Table, tables: int = N_TABLES,
         names=["vec_id", "table", "bucket", "embedding"])
 
 
-def _emb_block_pairs(batch: pa.Table, threshold: float,
-                     skip_edges: bool = True) -> pa.Table:
-    """Vectorized pair generation over one (table, bucket)-sorted block —
-    the same RLE shape as the MinHash/SimHash pair generators: Python
-    touches only multi-member buckets; boundary-straddling buckets (<=2 per
-    block) pass through whole (kind=0) to a tiny second pass.  The block's
-    embedding matrix is read ONCE zero-copy and normalized ONCE; each
-    bucket's exact-cosine check is a sliced GEMM + triu threshold mask (no
-    per-pair Python).  Buckets beyond MAX_EMB_BUCKET are capped and
-    logged."""
-    from ..functions.fputil import np_round_away
+#: schema of the exact-verified embedding pair stream
+_EMB_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                        ("cosine_sim", pa.float64())])
 
-    out_a: list = []
-    out_b: list = []
-    out_s: list = []
-    edge_tbl = None
-    emb_type = batch.schema.field("embedding").type
-    if batch.num_rows:
-        tbl = batch.column("table").to_numpy()
-        bkt = batch.column("bucket").to_numpy()
-        ids = batch.column("vec_id").to_numpy()
-        emb = normalize(_embedding_matrix(batch))
-        n = len(tbl)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(tbl[1:], tbl[:-1], out=change[1:])
-        change[1:] |= bkt[1:] != bkt[:-1]
-        group_id = np.cumsum(change) - 1
-        last_gid = group_id[-1]
-        counts = np.bincount(group_id)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        if skip_edges:
-            edge_mask = (group_id == 0) | (group_id == last_gid)
-            edge_tbl = batch.filter(pa.array(edge_mask))
-        truncated: list[int] = []
-        for g in np.nonzero(counts >= 2)[0]:
-            if skip_edges and (g == 0 or g == last_gid):
-                continue
-            sl = slice(starts[g], starts[g] + counts[g])
-            g_ids = ids[sl]
-            order = np.argsort(g_ids)
-            if len(order) > MAX_EMB_BUCKET:
-                truncated.append(len(order))
-                order = order[:MAX_EMB_BUCKET]
-            g_ids = g_ids[order]
-            g_emb = emb[sl][order]
-            sims = g_emb @ g_emb.T
-            iu, ju = np.triu_indices(len(g_ids), 1)
-            keep = sims[iu, ju] >= threshold
-            out_a.append(g_ids[iu[keep]])
-            out_b.append(g_ids[ju[keep]])
-            out_s.append(np_round_away(sims[iu[keep], ju[keep]], 4))
-        if truncated:
-            logger.warning(
-                "embedding LSH capped %d bucket(s) at MAX_EMB_BUCKET=%d "
-                "(original sizes: %s) — pairs beyond the cap were dropped",
-                len(truncated), MAX_EMB_BUCKET,
-                sorted(truncated, reverse=True)[:10])
-    pa_a = np.concatenate(out_a) if out_a else np.array([], dtype=np.int64)
-    pa_b = np.concatenate(out_b) if out_b else np.array([], dtype=np.int64)
-    pa_s = np.concatenate(out_s) if out_s else np.array([], dtype=np.float64)
-    n_pairs = len(pa_a)
-    n_edges = edge_tbl.num_rows if edge_tbl is not None else 0
-    if n_edges:
-        edge_vid = edge_tbl.column("vec_id").combine_chunks()
-        edge_t = edge_tbl.column("table").combine_chunks()
-        edge_k = edge_tbl.column("bucket").combine_chunks()
-        edge_e = edge_tbl.column("embedding").combine_chunks()
-    else:
-        edge_vid = pa.array([], pa.int64())
-        edge_t = pa.array([], pa.int32())
-        edge_k = pa.array([], pa.int32())
-        edge_e = pa.array([], emb_type)
+
+def _emb_block_pairs(batch: pa.Table, threshold: float) -> pa.Table:
+    """Whole (table, bucket) buckets -> every in-bucket pair (a < b by
+    vec_id) with cosine >= ``threshold``.  The block's embedding matrix is
+    read ONCE zero-copy and normalized ONCE; each bucket's exact-cosine
+    check is a sliced GEMM + triu threshold mask (no per-pair Python).
+    Buckets beyond MAX_EMB_BUCKET are capped to their first vec_ids and
+    logged."""
+    ids = batch.column("vec_id").to_numpy()
+    emb = normalize(_embedding_matrix(batch))
+    members, truncated = bucket_members(batch, ["table", "bucket"],
+                                        "vec_id", MAX_EMB_BUCKET)
+    if truncated:
+        logger.warning(
+            "embedding LSH capped %d bucket(s) at MAX_EMB_BUCKET=%d "
+            "(original sizes: %s) — pairs beyond the cap were dropped",
+            len(truncated), MAX_EMB_BUCKET,
+            sorted(truncated, reverse=True)[:10])
+    out_a, out_b, out_s = [], [], []
+    for idx in members:
+        g_ids = ids[idx]
+        g_emb = emb[idx]
+        sims = g_emb @ g_emb.T
+        iu, ju = np.triu_indices(len(g_ids), 1)
+        keep = sims[iu, ju] >= threshold
+        out_a.append(g_ids[iu[keep]])
+        out_b.append(g_ids[ju[keep]])
+        out_s.append(np_round_away(sims[iu[keep], ju[keep]], 4))
     return pa.Table.from_arrays(
-        [pa.array([1] * n_pairs + [0] * n_edges, pa.int8()),
-         pa.array(np.concatenate([pa_a, np.zeros(n_edges, np.int64)]),
-                  pa.int64()),
-         pa.array(np.concatenate([pa_b, np.zeros(n_edges, np.int64)]),
-                  pa.int64()),
-         pa.array(np.concatenate([pa_s, np.zeros(n_edges, np.float64)]),
-                  pa.float64()),
-         pa.concat_arrays([pa.array(np.zeros(n_pairs, np.int64), pa.int64()),
-                           edge_vid]),
-         pa.concat_arrays([pa.array(np.zeros(n_pairs, np.int32), pa.int32()),
-                           edge_t]),
-         pa.concat_arrays([pa.array(np.zeros(n_pairs, np.int32), pa.int32()),
-                           edge_k]),
-         pa.concat_arrays([pa.nulls(n_pairs, emb_type), edge_e])],
-        names=["kind", "a", "b", "cosine_sim",
-               "vec_id", "table", "bucket", "embedding"])
+        [np.concatenate(out_a) if out_a else np.array([], np.int64),
+         np.concatenate(out_b) if out_b else np.array([], np.int64),
+         np.concatenate(out_s) if out_s else np.array([], np.float64)],
+        schema=_EMB_PAIRS)
 
 
 def embedding_near_dups(embeddings_ds, threshold: float = 0.8,
@@ -321,8 +270,8 @@ def embedding_near_dups(embeddings_ds, threshold: float = 0.8,
     Scale shape: table width comes from ``lsh_params`` — bits grows with
     corpus size so expected bucket membership stays ~TARGET_BUCKET_ROWS
     (not O(n) as with a fixed 2^8 table), buckets beyond MAX_EMB_BUCKET
-    are capped and logged, and only the <=2 boundary-straddling buckets
-    per block go through a per-group second pass."""
+    are capped and logged, and the bucket exchange is the one
+    ``blockgroup.sorted_map_groups``."""
     if bits is None or tables is None:
         n = n_vectors if n_vectors is not None else embeddings_ds.count()
         abits, atables = lsh_params(n, threshold)
@@ -336,33 +285,15 @@ def embedding_near_dups(embeddings_ds, threshold: float = 0.8,
     def _pairs(batch: pa.Table) -> pa.Table:
         return _emb_block_pairs(batch, threshold)
 
-    def _edge_pairs(batch: pa.Table) -> pa.Table:
-        return _emb_block_pairs(batch, threshold, skip_edges=False)
-
-    mixed = (embeddings_ds
-             .map_batches(_bands, batch_format="pyarrow")
-             .sort(["table", "bucket"])
-             .map_batches(_pairs, batch_format="pyarrow", batch_size=None)
-             .materialize())   # small: pairs + boundary-bucket rows
-    inner = mixed.filter(expr="kind == 1") \
-                 .map_batches(lambda b: b.select(["a", "b", "cosine_sim"]),
-                              batch_format="pyarrow")
-    edge_pairs = (mixed.filter(expr="kind == 0")
-                  .map_batches(lambda b: b.select(
-                      ["vec_id", "table", "bucket", "embedding"]),
-                      batch_format="pyarrow")
-                  .sort(["table", "bucket"])
-                  .repartition(1)
-                  .map_batches(_edge_pairs, batch_format="pyarrow",
-                               batch_size=None)
-                  .map_batches(lambda b: b.select(["a", "b", "cosine_sim"]),
-                               batch_format="pyarrow"))
-    # cross-table pair dedup: up to `tables`x duplication collapsed by the
-    # per-block pre-combine; sort skipped at small observed pair counts
     from .groupagg import auto_hash_aggregate
 
-    return auto_hash_aggregate(inner.union(edge_pairs), ["a", "b"],
-                               [("cosine_sim", "max")])
+    pairs = sorted_map_groups(
+        embeddings_ds.map_batches(_bands, batch_format="pyarrow"),
+        ["table", "bucket"], block_fn=_pairs, schema=_EMB_PAIRS,
+        arrow_blocks=True)
+    # cross-table pair dedup: up to `tables`x duplication collapsed by the
+    # per-block pre-combine; sort skipped at small observed pair counts
+    return auto_hash_aggregate(pairs, ["a", "b"], [("cosine_sim", "max")])
 
 
 # --- IVF (inverted-file) approximate top-k -----------------------------------
@@ -627,7 +558,6 @@ def hard_negative_mining(embeddings_ds, *, anchor_mod: int = 100,
     import ray
 
     from ..functions.fputil import np_round_away as _rnd
-    from .blockgroup import sorted_map_groups
 
     src = embeddings_ds.materialize()
 

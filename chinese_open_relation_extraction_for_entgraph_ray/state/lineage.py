@@ -16,6 +16,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 import time
 
 
@@ -94,7 +95,7 @@ def emit_partition_metrics(metrics_dir: str, record: dict) -> None:
     os.replace(tmp, path)
 
 
-_ATTEMPT_NAME_RE = None
+_ATTEMPT_NAME_RE = re.compile(r"^part-(?P<tid>.+)-a(?P<att>\d+)-\d+\.json$")
 
 
 def _surviving_metric_files(metrics_dir: str) -> list[str]:
@@ -103,12 +104,6 @@ def _surviving_metric_files(metrics_dir: str) -> list[str]:
     per task id — a retry that emitted fewer files than the failed attempt
     must not leave the old attempt's higher-seq files double-counting.
     Files without the pattern (uuid fallback / legacy) pass through."""
-    import re
-
-    global _ATTEMPT_NAME_RE
-    if _ATTEMPT_NAME_RE is None:
-        _ATTEMPT_NAME_RE = re.compile(
-            r"^part-(?P<tid>.+)-a(?P<att>\d+)-\d+\.json$")
     by_task: dict[str, int] = {}
     parsed = []
     for f in sorted(os.listdir(metrics_dir)):

@@ -11,8 +11,10 @@ across replicas (no cross-replica near-dups).  Planted signal:
 - every 100th doc of each replica gets a near-dup twin (last token
   dropped, doc_id + 50M) -> ~1% planted near-dup pairs, Jaccard ~0.97.
 
-Usage: python scripts/stress_dedup.py [--curate]
-Prints one JSON line per measured stage.
+Usage: python scripts/stress_dedup.py [--spans [--stride N]] [--curate]
+Prints one JSON line per measured stage: MinHash and SimHash pair
+generation always, then the optional stages.  ``RAY_GRAFT_CPUS`` sets the
+Ray session's CPU count (default 32).
 """
 
 from __future__ import annotations
@@ -78,13 +80,16 @@ def main():
 
     from chinese_open_relation_extraction_for_entgraph_ray.stages.dedup import (
         minhash_candidate_pairs,
+        simhash_near_dups,
     )
 
-    t0 = time.perf_counter()
-    n_pairs = minhash_candidate_pairs(docs).count()
-    pair_sec = round(time.perf_counter() - t0, 2)
-    print(json.dumps({"metric": "minhash_pair_gen_500k", "docs": n_docs,
-                      "pairs": n_pairs, "sec": pair_sec}))
+    for metric, op in (("minhash_pair_gen_500k", minhash_candidate_pairs),
+                       ("simhash_pair_gen_500k", simhash_near_dups)):
+        t0 = time.perf_counter()
+        n_pairs = op(docs).count()
+        pair_sec = round(time.perf_counter() - t0, 2)
+        print(json.dumps({"metric": metric, "docs": n_docs,
+                          "pairs": n_pairs, "sec": pair_sec}), flush=True)
 
     if "--spans" in sys.argv:
         from chinese_open_relation_extraction_for_entgraph_ray.stages.spans import (

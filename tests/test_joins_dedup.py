@@ -150,24 +150,53 @@ def test_lookup_join_empty_right(ray_session):
 
 
 def test_bucket_cap_logged(caplog):
-    """MAX_BUCKET truncation is no longer silent (no-silent-caps)."""
+    """MAX_BUCKET truncation is no longer silent (no-silent-caps): an
+    over-cap bucket emits exactly the pairs of its first MAX_BUCKET
+    doc_ids, and the cap is logged."""
     import logging
-
-    import pyarrow as pa
 
     from chinese_open_relation_extraction_for_entgraph_ray.stages.dedup import (
         MAX_BUCKET,
-        bucket_candidate_pairs,
+        _minhash_bucket_pairs,
     )
 
     n = MAX_BUCKET + 5
-    big = pa.table({"band": [0] * n, "band_hash": ["h"] * n,
-                    "doc_id": list(range(n))})
+    big = pa.table({"band": pa.array([0] * n, pa.int32()),
+                    "band_hash": pa.array([7] * n, pa.int64()),
+                    "doc_id": pa.array(range(n - 1, -1, -1), pa.int64())})
     with caplog.at_level(logging.WARNING,
                          logger="chinese_open_relation_extraction_for_entgraph_ray.stages.dedup"):
-        out = bucket_candidate_pairs(big)
+        out = _minhash_bucket_pairs(big)
     assert len(out) == MAX_BUCKET * (MAX_BUCKET - 1) // 2
+    ids = set(out.column("a").to_pylist()) | set(out.column("b").to_pylist())
+    assert ids == set(range(MAX_BUCKET))        # first cap members by id
     assert any("MAX_BUCKET" in r.message for r in caplog.records)
+
+
+def test_bucket_cap_exact_on_block_edge(ray_session):
+    """The same cap through the public op when the over-cap buckets are
+    spread over many input blocks, so the sort leaves them on block edges
+    and they take the exchange's boundary pass: every band bucket holds
+    all MAX_BUCKET + 5 identical docs, and the result is exactly the
+    pairs of the first MAX_BUCKET doc_ids, each agreed by all 16 bands."""
+    import ray.data as rd
+
+    from chinese_open_relation_extraction_for_entgraph_ray.stages.dedup import (
+        BANDS,
+        MAX_BUCKET,
+        minhash_candidate_pairs,
+    )
+
+    n = MAX_BUCKET + 5
+    docs = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": ["same words in every single copy of this doc"] * n,
+    })).repartition(n // 3)
+    got = minhash_candidate_pairs(docs).take_all()
+    assert len(got) == MAX_BUCKET * (MAX_BUCKET - 1) // 2
+    assert {(r["a"], r["b"]) for r in got} == {
+        (a, b) for a in range(MAX_BUCKET) for b in range(a + 1, MAX_BUCKET)}
+    assert {r["n_bands"] for r in got} == {BANDS}
 
 
 def test_simhash_near_dups_exhaustive_at_hamming3(ray_session):

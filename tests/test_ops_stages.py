@@ -598,19 +598,39 @@ def test_emb_block_pairs_over_cap_bucket_logged(monkeypatch, caplog):
     n = 9
     batch = pa.Table.from_arrays(
         [pa.array([0] * n, pa.int32()), pa.array([0] * n, pa.int32()),
-         pa.array(list(range(n)), pa.int64()),
+         pa.array(list(range(n - 1, -1, -1)), pa.int64()),
          pa.array([v.tolist()] * n, pa.list_(pa.float64()))],
         names=["table", "bucket", "vec_id", "embedding"])
     with caplog.at_level(logging.WARNING,
                          logger=similarity.logger.name):
-        out = similarity._emb_block_pairs(batch, threshold=0.8,
-                                          skip_edges=False)
-    pairs = out.filter(pa.compute.equal(out.column("kind"), 1))
+        pairs = similarity._emb_block_pairs(batch, threshold=0.8)
     assert pairs.num_rows == 5 * 4 // 2         # C(cap, 2), not C(9, 2)
     kept = set(pairs.column("a").to_pylist()) | \
         set(pairs.column("b").to_pylist())
     assert kept == {0, 1, 2, 3, 4}              # first cap members by id
     assert any("MAX_EMB_BUCKET" in r.message for r in caplog.records)
+
+
+def test_emb_over_cap_bucket_exact_on_block_edge(ray_session):
+    """The same cap through ``embedding_near_dups`` when the one over-cap
+    bucket is spread over 12 input blocks, so it reaches the pair
+    generator through the exchange's boundary pass: exactly the pairs of
+    its first MAX_EMB_BUCKET vec_ids."""
+    import ray.data as rd
+
+    cap = similarity.MAX_EMB_BUCKET
+    n = cap + 6
+    v = np.random.RandomState(12).standard_normal(8).tolist()
+    ds = rd.from_arrow(pa.table({
+        "vec_id": pa.array(range(n), pa.int64()),
+        "embedding": pa.array([v] * n, pa.list_(pa.float64())),
+    })).repartition(12)
+    got = similarity.embedding_near_dups(ds, threshold=0.9, bits=4,
+                                         tables=1).to_pandas()
+    assert len(got) == cap * (cap - 1) // 2
+    assert got["a"].max() < cap and got["b"].max() < cap
+    assert (got["a"] < got["b"]).all()
+    assert (got["cosine_sim"] == 1.0).all()
 
 
 def test_mg_compress_bound_and_survivors():
