@@ -9,10 +9,14 @@ transcripts.parquet
   -> aggregate_edges         (combiner + auto_hash_aggregate)           [edges]
   -> aggregate_entities      (mention explode + auto_hash_aggregate)    [entities]
 
-Every stage materializes to Parquet under ``out_dir`` with a lineage manifest
-(``state/lineage.py``); a resumed run skips completed stages.  The per-stage
-checkpoints double as the reference's ``--ready_ddp`` contract: downstream
-stages re-read ``parses`` instead of re-parsing (dudepparse.py:1891-1897).
+Transcripts -> triples is ONE streaming execution in every mode.  With
+``checkpoints="all"`` a pass-through tee writes each block of the
+``sentences`` and ``parses`` streams into its stage dir as it flows by;
+the stages commit (a lineage manifest each, ``state/lineage.py``) in order
+when the execution ends.  A resumed run skips committed stages and starts
+that execution from the latest committed checkpoint, so ``parses`` doubles
+as the reference's ``--ready_ddp`` contract: downstream stages re-read it
+instead of re-parsing (dudepparse.py:1891-1897).
 
 Scale notes (100 TB / multi-node):
 - the only all-to-all exchanges are the dedup sort of the sentence stream
@@ -34,14 +38,29 @@ from __future__ import annotations
 import os
 
 from ..sources.synthetic import transcripts_dir_for_sf
-from ..stages.canonicalize import aggregate_edges, aggregate_entities
-from ..stages.extract import extract_linked
-from ..stages.parse import template_parse
-from ..stages.preprocess import explode_turns
-from ..state.lineage import CheckpointStore, fingerprint_paths, parquet_files
+from ..stages.canonicalize import (
+    EDGES_SCHEMA,
+    ENTITIES_SCHEMA,
+    aggregate_edges,
+    aggregate_entities,
+)
+from ..stages.extract import LINKED_TRIPLES_SCHEMA, extract_linked
+from ..stages.parse import PARSES_SCHEMA, template_parse
+from ..stages.preprocess import SENTENCES_SCHEMA, explode_turns
+from ..state.lineage import (
+    CheckpointStore,
+    emit_partition_table,
+    fingerprint_paths,
+    parquet_files,
+)
 
 PARSE_BATCH_SIZE = 4096
 PARSE_CONCURRENCY = 4
+
+# what a stage that wrote no rows commits: a 0-row part of its schema
+_STAGE_SCHEMAS = {"sentences": SENTENCES_SCHEMA, "parses": PARSES_SCHEMA,
+                  "triples": LINKED_TRIPLES_SCHEMA, "edges": EDGES_SCHEMA,
+                  "entities": ENTITIES_SCHEMA}
 
 
 def _read(path_or_dir, columns=None):
@@ -73,15 +92,18 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     """Run (or resume) the full pipeline; returns {stage: Dataset} handles of
     the materialized outputs plus run metadata under "_meta".
 
-    checkpoints="all": materialize every stage (sentences, parses, triples,
-    edges, entities) — finest resume granularity; ``parses`` doubles as the
-    reference's ``--ready_ddp`` reuse contract.
-    checkpoints="minimal": fuse transcripts -> sentences -> parses -> triples
-    into ONE streaming execution with a single materialization at ``triples``
-    (the map stages pipeline through the object store with no write/read
-    barriers); resume granularity becomes {triples, edges, entities}.  Use
-    for throughput; "all" for long jobs where re-parsing is the expensive
-    part.
+    Both modes build transcripts -> sentences -> parses -> triples as ONE
+    streaming execution (the map stages pipeline through the object store
+    with no write/read barriers); edges and entities follow.
+    checkpoints="all": also checkpoint ``sentences`` and ``parses``, teed
+    out of that execution and committed, in order before ``triples``, when
+    it ends — finest resume granularity: a resumed run starts the
+    execution from the latest committed of transcripts, ``sentences`` and
+    ``parses``; ``parses`` doubles as the reference's ``--ready_ddp`` reuse
+    contract.
+    checkpoints="minimal": no tees; resume granularity becomes {triples,
+    edges, entities}.  It writes less; "all" suits long jobs where
+    re-parsing is the expensive part.
 
     ``config``: an :class:`..functions.cascade.ExtractionConfig` — rule
     flags/caps (SURVEY.md §2.8); part of the checkpoint fingerprint, so
@@ -135,26 +157,41 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     ran: list[str] = []
     timings: dict[str, float] = {}
 
-    def stage(name: str, make, upstream_fp: str, metrics=None) -> str:
-        """Skip (resume), or reset, write, time and commit one stage.
-        ``make()`` returns the Dataset to write, or None when the stage's
-        rows are already committed by its shard stages; ``metrics`` joins
-        the stage's wall time in its manifest."""
-        fp = f"{upstream_fp}:{name}"
-        if not (resume and store.is_complete(name, fp)):
+    def stage(names: list[str], make, upstream_fp: str,
+              metrics=None) -> str:
+        """Skip the committed prefix of ``names`` (resume); build the rest
+        in ONE execution, then commit them in order.  ``make(todo)``
+        returns the Dataset to write into the last stage of ``todo`` (it
+        tees the others into their dirs on the way), or None when the
+        stage's rows are already committed by its shard stages;
+        ``metrics`` joins the execution's wall time in each manifest.
+        Returns the fingerprint chained through every commit record, so
+        recomputing a stage invalidates everything after it."""
+        fp, todo = upstream_fp, list(names)
+        while todo and resume and store.is_complete(todo[0],
+                                                    f"{fp}:{todo[0]}"):
+            done = todo.pop(0)
+            fp = f"{fp}:{done}@{store.read_manifest(done)['completed_at']}"
+        if not todo:
+            return fp
+        for name in todo:
             store.reset_metrics(name)
-            t0 = _time.perf_counter()
-            ds = make()
-            if ds is not None:
-                ds.write_parquet(store.stage_dir(name), mode="overwrite")
-            timings[name] = round(_time.perf_counter() - t0, 3)
-            store.commit_stage(name, fp, metrics={"wall_sec": timings[name],
-                                                  **(metrics or {})})
+        for name in todo[:-1]:   # the tees; write_parquet clears the last
+            store.clear_stage(name)
+        t0 = _time.perf_counter()
+        ds = make(todo)
+        if ds is not None:
+            ds.write_parquet(store.stage_dir(todo[-1]), mode="overwrite")
+        wall = round(_time.perf_counter() - t0, 3)
+        for name in todo:
+            timings[name] = wall
+            manifest = store.commit_stage(
+                name, f"{fp}:{name}", metrics={"wall_sec": wall,
+                                               **(metrics or {})},
+                schema=_STAGE_SCHEMAS[name.split("/")[0]])
+            fp = f"{fp}:{name}@{manifest['completed_at']}"
             ran.append(name)
-        # downstream fingerprints chain through this stage's commit record, so
-        # recomputing a stage invalidates everything after it
-        manifest = store.read_manifest(name)
-        return f"{fp}@{manifest['completed_at']}"
+        return fp
 
     def _sentences(src):
         return src.map_batches(explode_turns, batch_format="pyarrow")
@@ -245,25 +282,49 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
 
     transcripts_cols = ["conv_id", "turn_idx", "text"]
 
-    def _fused_triples(paths, name: str):
-        """read -> explode_turns -> parse -> extract_with_config, one
-        streaming execution with no intermediate barriers."""
-        return _triples(_parses(_sentences(
-            _read(paths, columns=transcripts_cols))), name)
+    def _tee(src, name: str):
+        """Pass every block through unchanged, writing it into ``name``'s
+        dir as one Parquet part: the stage's checkpoint, built without an
+        execution of its own."""
+        sdir = store.stage_dir(name)
+
+        def tee(batch):
+            if batch.num_rows:
+                emit_partition_table(sdir, batch)
+            return batch
+
+        return src.map_batches(tee, batch_format="pyarrow")
+
+    def _fused_triples(sink: str, files=transcripts_dir,
+                       start: str = "sentences", tees=()):
+        """read -> explode_turns -> parse -> extract_with_config -> write to
+        ``sink``: one streaming execution with no intermediate barriers.
+        ``start`` is the first stage it builds (a later start reads the
+        committed ``sentences`` or ``parses`` dir instead of the
+        transcripts); each stage in ``tees`` is also written to its own
+        dir as it passes."""
+        if start == "sentences":
+            ds = _sentences(_read(files, columns=transcripts_cols))
+        else:
+            ds = _read(store.stage_dir(
+                "sentences" if start == "parses" else "parses"))
+        if "sentences" in tees:
+            ds = _tee(ds, "sentences")
+        if start != "triples":
+            ds = _parses(ds)
+        if "parses" in tees:
+            ds = _tee(ds, "parses")
+        return _triples(ds, sink)
 
     if checkpoints == "all":
-        fp = stage("sentences",
-                   lambda: _sentences(_read(transcripts_dir,
-                                            columns=transcripts_cols)),
+        # the minimal plan from the latest committed checkpoint, teeing the
+        # stages it passes; they commit when the one execution ends
+        fp = stage(["sentences", "parses", "triples"],
+                   lambda todo: _fused_triples("triples", start=todo[0],
+                                               tees=todo[:-1]),
                    base_fp)
-        fp = stage("parses",
-                   lambda: _parses(_read(store.stage_dir("sentences"))), fp)
-        fp = stage("triples",
-                   lambda: _triples(_read(store.stage_dir("parses")),
-                                    "triples"), fp)
     elif not triples_shards:
-        fp = stage("triples",
-                   lambda: _fused_triples(transcripts_dir, "triples"),
+        fp = stage(["triples"], lambda _: _fused_triples("triples"),
                    f"{base_fp}:fused")
     else:
         # one stage per shard group -> mid-stage resume; the triples commit
@@ -275,7 +336,7 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
             if files:
                 name = f"triples/shard-{k:04d}"
                 shards[name] = stage(
-                    name, lambda f=files, n=name: _fused_triples(f, n),
+                    [name], lambda _, f=files, n=name: _fused_triples(n, f),
                     f"{fp_base}:{fingerprint_paths(files)}")
         extraction: dict = {}
         for name in shards:
@@ -283,7 +344,7 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
             for mk, mv in rec.items():
                 extraction[mk] = extraction.get(mk, 0) + mv
 
-        def drop_other_layouts():
+        def drop_other_layouts(_):
             # top-level parquet from a fused run, shard dirs of another count
             import shutil as _shutil
 
@@ -295,20 +356,20 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                       and f"triples/{entry}" not in shards):
                     _shutil.rmtree(os.path.join(sdir, entry))
 
-        fp = stage("triples", drop_other_layouts,
+        fp = stage(["triples"], drop_other_layouts,
                    f"{fp_base}:"
                    + fingerprint_paths([], extra="|".join(shards.values())),
                    metrics={"shards": triples_shards,
                             "extraction": extraction})
 
     edges_fp = stage(
-        "edges",
-        lambda: aggregate_edges(_read(store.stage_dir("triples"))),
+        ["edges"],
+        lambda _: aggregate_edges(_read(store.stage_dir("triples"))),
         fp)
 
     stage(
-        "entities",
-        lambda: aggregate_entities(_read(store.stage_dir("edges"))),
+        ["entities"],
+        lambda _: aggregate_entities(_read(store.stage_dir("edges"))),
         edges_fp)
 
     out = {

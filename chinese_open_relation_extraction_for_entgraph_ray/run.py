@@ -25,8 +25,10 @@ def main(argv=None) -> int:
     ap.add_argument("--output", required=True,
                     help="checkpoint/output root (stage subdirs + lineage)")
     ap.add_argument("--checkpoints", choices=["all", "minimal"], default="all",
-                    help="'all': materialize every stage (finest resume); "
-                         "'minimal': fuse the map stages for throughput")
+                    help="'all': also checkpoint sentences and parses, "
+                         "teed out of the same one execution (finest "
+                         "resume); 'minimal': checkpoint triples, edges "
+                         "and entities only")
     ap.add_argument("--no-resume", action="store_true",
                     help="recompute every stage even if checkpoints match")
     ap.add_argument("--triples-shards", type=int, default=0,

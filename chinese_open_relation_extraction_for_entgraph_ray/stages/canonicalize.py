@@ -70,6 +70,12 @@ _PARTIAL_SCHEMA = pa.schema(
     [(c, pa.string()) for c in EDGE_KEYS]
     + [("sample_conv_id", pa.string()), ("sample_turn_idx", pa.int32()),
        ("weight", pa.int64())])
+# the output schemas of aggregate_edges and aggregate_entities
+EDGES_SCHEMA = pa.schema(
+    [_PARTIAL_SCHEMA.field(c)
+     for c in EDGE_KEYS + ["weight", "sample_conv_id", "sample_turn_idx"]])
+ENTITIES_SCHEMA = pa.schema([("entity_id", pa.string()),
+                             ("mention_count", pa.int64())])
 
 
 def partial_edge_counts(batch: pa.Table) -> pa.Table:

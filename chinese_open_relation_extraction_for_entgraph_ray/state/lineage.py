@@ -44,7 +44,7 @@ def parquet_files(directory: str) -> list[str]:
 _EMIT_SEQ: dict = {}
 
 
-def _emit_name(metrics_dir: str) -> str:
+def _emit_name(directory: str, suffix: str = ".json") -> str:
     try:
         import ray
 
@@ -59,7 +59,7 @@ def _emit_name(metrics_dir: str) -> str:
     if not task_id:
         import uuid
 
-        return os.path.join(metrics_dir, f"part-{uuid.uuid4().hex}.json")
+        return os.path.join(directory, f"part-{uuid.uuid4().hex}{suffix}")
     if len(_EMIT_SEQ) > 4096:
         # bound long-lived-worker state — but never evict the CURRENT
         # task's entry mid-run (clearing it between two emissions of one
@@ -74,9 +74,18 @@ def _emit_name(metrics_dir: str) -> str:
     _EMIT_SEQ[task_id] = (attempt, seq + 1)
     # attempt number IN the name: a retry that emits fewer files than the
     # failed attempt must not leave the old attempt's higher-seq files
-    # double-counting — the reader keeps only the max attempt per task id
-    return os.path.join(metrics_dir,
-                        f"part-{task_id}-a{attempt:03d}-{seq:04d}.json")
+    # double-counting — readers keep only the max attempt per task id
+    return os.path.join(directory,
+                        f"part-{task_id}-a{attempt:03d}-{seq:04d}{suffix}")
+
+
+def _emit(directory: str, suffix: str, write) -> None:
+    """``write(path)`` one task-attempt-named file into ``directory``: to
+    ``<name>.tmp`` first, then renamed, so no reader sees a partial file."""
+    os.makedirs(directory, exist_ok=True)
+    path = _emit_name(directory, suffix)
+    write(path + ".tmp")
+    os.replace(path + ".tmp", path)
 
 
 def emit_partition_metrics(metrics_dir: str, record: dict) -> None:
@@ -87,38 +96,46 @@ def emit_partition_metrics(metrics_dir: str, record: dict) -> None:
     call sequence) so Ray task retries overwrite their own records rather
     than appending duplicates (the reference's once-per-slice merge_dict
     semantics, merge_parsed_results.py:8-14)."""
-    os.makedirs(metrics_dir, exist_ok=True)
-    path = _emit_name(metrics_dir)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fp:
-        json.dump(record, fp, ensure_ascii=False)
-    os.replace(tmp, path)
+    def write(path: str) -> None:
+        with open(path, "w") as fp:
+            json.dump(record, fp, ensure_ascii=False)
+
+    _emit(metrics_dir, ".json", write)
 
 
-_ATTEMPT_NAME_RE = re.compile(r"^part-(?P<tid>.+)-a(?P<att>\d+)-\d+\.json$")
+def emit_partition_table(stage_dir: str, table) -> None:
+    """Write one Parquet part of a stage from INSIDE a map task, named like
+    the metric files; :meth:`CheckpointStore.commit_stage` drops the parts
+    of superseded task attempts."""
+    import pyarrow.parquet as pq
+
+    _emit(stage_dir, ".parquet", lambda path: pq.write_table(table, path))
+
+
+_ATTEMPT_NAME_RE = re.compile(
+    r"^part-(?P<tid>.+)-a(?P<att>\d+)-\d+\.(?:json|parquet)$")
+
+
+def _superseded_attempts(names: list[str]) -> set[str]:
+    """The task-attempt-named files (``part-<task_id>-a<attempt>-<seq>``)
+    among ``names`` whose attempt is below the MAX attempt of their task
+    id — a retry that emitted fewer files than the failed attempt must not
+    leave the old attempt's higher-seq files double-counting.  Files
+    without the pattern (uuid fallback / legacy) are never superseded."""
+    parsed = [(f, m.group("tid"), int(m.group("att")))
+              for f in names if (m := _ATTEMPT_NAME_RE.match(f))]
+    latest: dict[str, int] = {}
+    for _, tid, att in parsed:
+        latest[tid] = max(latest.get(tid, -1), att)
+    return {f for f, tid, att in parsed if att < latest[tid]}
 
 
 def _surviving_metric_files(metrics_dir: str) -> list[str]:
-    """Metric files to merge: for task-attempt-named files
-    (``part-<task_id>-a<attempt>-<seq>.json``) keep only the MAX attempt
-    per task id — a retry that emitted fewer files than the failed attempt
-    must not leave the old attempt's higher-seq files double-counting.
-    Files without the pattern (uuid fallback / legacy) pass through."""
-    by_task: dict[str, int] = {}
-    parsed = []
-    for f in sorted(os.listdir(metrics_dir)):
-        if not f.endswith(".json"):
-            continue
-        m = _ATTEMPT_NAME_RE.match(f)
-        if m:
-            att = int(m.group("att"))
-            tid = m.group("tid")
-            by_task[tid] = max(by_task.get(tid, -1), att)
-            parsed.append((f, tid, att))
-        else:
-            parsed.append((f, None, 0))
-    return [f for f, tid, att in parsed
-            if tid is None or att == by_task[tid]]
+    """Metric files to merge: every ``.json`` file but those of superseded
+    task attempts (:func:`_superseded_attempts`)."""
+    names = sorted(f for f in os.listdir(metrics_dir) if f.endswith(".json"))
+    stale = _superseded_attempts(names)
+    return [f for f in names if f not in stale]
 
 
 def merge_metric_records(metrics_dir: str) -> dict:
@@ -161,6 +178,14 @@ class CheckpointStore:
 
         shutil.rmtree(self.metrics_dir(stage), ignore_errors=True)
 
+    def clear_stage(self, stage: str) -> None:
+        """Delete a stage's files and manifest before a run that writes it
+        part by part, so a killed run leaves no committed stage with
+        partial files."""
+        import shutil
+
+        shutil.rmtree(self.stage_dir(stage), ignore_errors=True)
+
     def _manifest_path(self, stage: str) -> str:
         return os.path.join(self.stage_dir(stage), "_lineage.json")
 
@@ -183,12 +208,23 @@ class CheckpointStore:
             return json.load(fp)
 
     def commit_stage(self, stage: str, input_fingerprint: str,
-                     metrics: dict | None = None) -> dict:
+                     metrics: dict | None = None, schema=None) -> dict:
         """Write the lineage manifest AFTER the stage's parquet is on disk —
-        the manifest's presence is the stage's commit record."""
+        the manifest's presence is the stage's commit record.  Parts of
+        superseded task attempts (and unrenamed ``.tmp`` files of a dead
+        one) are deleted first; a stage that wrote no rows gets one 0-row
+        part of ``schema``, so it still reads as a table."""
         import pyarrow.parquet as pq
 
         sdir = self.stage_dir(stage)
+        os.makedirs(sdir, exist_ok=True)
+        names = os.listdir(sdir)
+        for f in _superseded_attempts(names) | {
+                f for f in names if f.endswith(".tmp")}:
+            os.remove(os.path.join(sdir, f))
+        if schema is not None and not parquet_files(sdir):
+            pq.write_table(schema.empty_table(),
+                           os.path.join(sdir, "empty.parquet"))
         # metrics live OUTSIDE the stage dir: write_parquet(mode="overwrite")
         # clears the stage dir at write start, which would race with metric
         # files emitted by map tasks during the same execution

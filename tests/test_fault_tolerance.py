@@ -19,18 +19,10 @@ def _triples_key(out):
                   for r in got)
 
 
-def test_actor_crash_mid_parse_recovers_identically(ray_session, tmp_path):
-    from chinese_open_relation_extraction_for_entgraph_ray.pipelines.kg import (
-        build_kg,
-    )
-    from chinese_open_relation_extraction_for_entgraph_ray.sources.synthetic import (
-        transcripts_dir_for_sf,
-    )
+def _crash_once_parser(sentinel: str):
     from chinese_open_relation_extraction_for_entgraph_ray.stages.parse import (
         TemplateParserActor,
     )
-
-    sentinel = str(tmp_path / "crashed_once")
 
     class CrashOnceParser(TemplateParserActor):
         """Hard-exits the worker process on its first batch — once per test
@@ -44,6 +36,18 @@ def test_actor_crash_mid_parse_recovers_identically(ray_session, tmp_path):
                 os._exit(1)
             return super().__call__(batch)
 
+    return CrashOnceParser
+
+
+def test_actor_crash_mid_parse_recovers_identically(ray_session, tmp_path):
+    from chinese_open_relation_extraction_for_entgraph_ray.pipelines.kg import (
+        build_kg,
+    )
+    from chinese_open_relation_extraction_for_entgraph_ray.sources.synthetic import (
+        transcripts_dir_for_sf,
+    )
+
+    sentinel = str(tmp_path / "crashed_once")
     tdir = transcripts_dir_for_sf("/root/testdata/sf0.001")
     base = _triples_key(build_kg(tdir, str(tmp_path / "kg_base"),
                                  resume=False, checkpoints="minimal",
@@ -51,10 +55,34 @@ def test_actor_crash_mid_parse_recovers_identically(ray_session, tmp_path):
     crashed = _triples_key(build_kg(tdir, str(tmp_path / "kg_crash"),
                                     resume=False, checkpoints="minimal",
                                     dedup_sort=False,
-                                    parser_cls=CrashOnceParser))
+                                    parser_cls=_crash_once_parser(sentinel)))
     assert os.path.exists(sentinel), "fault was never injected"
     assert len(base) > 0
     assert base == crashed, (len(base), len(crashed))
+
+
+def test_actor_crash_with_every_stage_checkpointed(ray_session, tmp_path):
+    """The same crash under checkpoints="all", where ``sentences`` and
+    ``parses`` are teed out of the one execution: every stage's row count
+    and the triples multiset equal a no-crash build's."""
+    from chinese_open_relation_extraction_for_entgraph_ray.pipelines.kg import (
+        build_kg,
+    )
+    from chinese_open_relation_extraction_for_entgraph_ray.sources.synthetic import (
+        transcripts_dir_for_sf,
+    )
+
+    sentinel = str(tmp_path / "crashed_once")
+    tdir = transcripts_dir_for_sf("sf0.001")
+    base = build_kg(tdir, str(tmp_path / "kg_base"), resume=False,
+                    checkpoints="all")
+    crashed = build_kg(tdir, str(tmp_path / "kg_crash"), resume=False,
+                       checkpoints="all",
+                       parser_cls=_crash_once_parser(sentinel))
+    assert os.path.exists(sentinel), "fault was never injected"
+    for name in ("sentences", "parses", "triples"):
+        assert crashed[name].count() == base[name].count() > 0, name
+    assert _triples_key(crashed) == _triples_key(base)
 
 
 def test_map_batches_actor_crash_generic(ray_session, tmp_path):

@@ -593,3 +593,113 @@ def test_fingerprint_sees_same_second_rewrite(tmp_path):
     path.write_bytes(b"new contents")
     os.utime(path, ns=(second + 200, second + 200))
     assert fingerprint_paths([str(path)]) != before
+
+
+def test_commit_drops_parts_of_superseded_attempts(ray_session, tmp_path):
+    """Stage parts are named like the metric files: when one task id left
+    parts of two attempts (a retried task), the commit deletes the
+    superseded attempt's, so the manifest and ``read_parquet`` both see
+    only the latest attempt's rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from chinese_open_relation_extraction_for_entgraph_ray.state.lineage import (
+        CheckpointStore,
+    )
+
+    store = CheckpointStore(str(tmp_path))
+    sdir = store.stage_dir("sentences")
+    os.makedirs(sdir)
+    for name, rows in (("part-t1-a000-0000", 5), ("part-t1-a000-0001", 7),
+                       ("part-t1-a001-0000", 3), ("part-t2-a000-0000", 2)):
+        pq.write_table(pa.table({"n": [rows] * rows}),
+                       os.path.join(sdir, f"{name}.parquet"))
+    # a dead attempt's unrenamed part
+    pq.write_table(pa.table({"n": [9]}),
+                   os.path.join(sdir, "part-t1-a000-0002.parquet.tmp"))
+    manifest = store.commit_stage("sentences", "fp")
+    assert sorted(p["file"] for p in manifest["partitions"]) == [
+        "part-t1-a001-0000.parquet", "part-t2-a000-0000.parquet"]
+    assert manifest["total_rows"] == 5
+    assert sorted(rd.read_parquet(sdir).to_pandas()["n"]) == [2, 2, 3, 3, 3]
+
+
+@pytest.mark.parametrize("checkpoints", ["all", "minimal"])
+def test_corpus_without_sentences_commits_empty_stages(ray_session, tmp_path,
+                                                       checkpoints):
+    """Turns that yield no sentence: every stage commits 0 rows and the
+    build returns empty triples, edges and entities (the stage dirs used
+    not to exist, so the commit failed)."""
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    tdir = tmp_path / "in"
+    tdir.mkdir()
+    pq.write_table(pa.table({"conv_id": ["c0", "c0"],
+                             "turn_idx": pa.array([0, 1], pa.int32()),
+                             "text": ["", "   "]}),
+                   str(tdir / "transcripts-0000.parquet"))
+    out = str(tmp_path / "kg")
+    res = build_kg(str(tdir), out, resume=False, checkpoints=checkpoints)
+    stages = ["triples", "edges", "entities"]
+    if checkpoints == "all":
+        stages = ["sentences", "parses"] + stages
+    assert res["_meta"]["ran_stages"] == stages
+    for name in stages:
+        assert res[name].count() == 0, name
+        with open(os.path.join(out, name, "_lineage.json")) as fp:
+            assert json.load(fp)["total_rows"] == 0, name
+    assert build_kg(str(tdir), out,
+                    checkpoints=checkpoints)["_meta"]["ran_stages"] == []
+
+
+def _n_distinct_parses(out_dir: str) -> int:
+    import json
+
+    with open(os.path.join(out_dir, "triples", "_lineage.json")) as fp:
+        return json.load(fp)["metrics"]["extraction"]["n_distinct_parses"]
+
+
+def test_n_distinct_parses_same_in_every_build(ray_session, tmp_path):
+    """Extraction takes the dedup sort's blocks whole in both checkpoint
+    modes, so two cold ``all`` builds and a ``minimal`` build run the
+    cascade the same number of times."""
+    got = []
+    for k, mode in enumerate(("all", "all", "minimal")):
+        out = str(tmp_path / f"kg{k}")
+        build_kg(TDIR, out, resume=False, checkpoints=mode)
+        got.append(_n_distinct_parses(out))
+    assert got[0] > 0 and len(set(got)) == 1, got
+
+
+def test_resume_starts_from_latest_committed_checkpoint(ray_session,
+                                                        tmp_path):
+    """checkpoints="all" resumes with one execution from the latest
+    committed stage: with ``parses`` uncommitted it reads ``sentences``
+    (leaving its files alone) and re-tees ``parses``; with only
+    ``triples`` uncommitted it reads ``parses``.  The triples multiset is
+    unchanged either way."""
+    out = str(tmp_path / "kg")
+    want = _bag(build_kg(TDIR, out, resume=False)["triples"])
+    sdir = os.path.join(out, "sentences")
+
+    def sentence_files():
+        return {f: os.stat(os.path.join(sdir, f)).st_mtime_ns
+                for f in os.listdir(sdir)}
+
+    before = sentence_files()
+    os.remove(os.path.join(out, "parses", "_lineage.json"))
+    res = build_kg(TDIR, out)
+    assert res["_meta"]["ran_stages"] == ["parses", "triples", "edges",
+                                          "entities"]
+    assert sentence_files() == before
+    assert _bag(res["triples"]) == want
+    assert res["parses"].count() == res["sentences"].count()
+
+    os.remove(os.path.join(out, "triples", "_lineage.json"))
+    res = build_kg(TDIR, out)
+    assert res["_meta"]["ran_stages"] == ["triples", "edges", "entities"]
+    assert _bag(res["triples"]) == want
