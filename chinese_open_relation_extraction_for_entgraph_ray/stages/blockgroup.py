@@ -6,21 +6,22 @@ Ray's ``map_groups`` pays a per-group dispatch cost (~60 µs/group measured in
 this sandbox), which at 10^8-10^9 groups (per-user sessions, per-conversation
 assembly, per-customer top-k at transcript scale) is hours of pure dispatch.
 This operator keeps the same exchange (ONE sort by the group keys) but runs
-the per-group function inline over whole sorted blocks.  One scan over the
-sorted blocks applies it to each block's interior key groups and passes the
-raw rows of the block's first and last key group — the ones that may
-straddle a block boundary, at most 2 per block regardless of data size —
-through in the same output stream; only that mixed stream is materialized.
-The boundary rows then go to one task, sorted locally by key, so the
-function sees every group whole.
+the per-group function inline over whole sorted blocks: guard null keys ->
+sort -> apply per block, with no second pass.  That relies on one invariant
+of Ray's sort (the one ``groupby().map_groups`` relies on too,
+``ray/data/grouped_data.py``): it range-partitions rows by key and its
+reduce emits one block per partition, so every key group lands whole in
+one sorted block.  ``test_sort_keeps_each_key_group_in_one_block`` in
+``tests/test_blockgroup.py`` pins it (a hot key over many input blocks;
+int, string and two-column keys; default and small
+``target_max_block_size``): a Ray upgrade that splits a group fails there.
 
 Built on this: the keyed equi/semi/anti/outer joins (``stages/joins.py``),
 the LSH and inverted-index pair generators (``stages/dedup.py``,
 ``stages/similarity.py``, ``stages/semdedup.py``, which share the bucket
 scan :func:`bucket_members`) and the grouped queries.  The sorted hash
-aggregate (``stages/groupagg.py``) and the duplicate-span counter
-(``stages/spans.py``) keep their own boundary pass: they carry
-re-aggregatable partials across it, not raw rows.
+aggregate (``stages/groupagg.py``) runs the same sort -> apply plan over its
+key-hash columns.
 
 Partitioning assumption (same as any keyed map_groups): one key group fits in
 a worker's heap.  Salt or pre-split a key that is bigger than that.
@@ -50,30 +51,11 @@ def arrow_type_of(ds, col: str) -> pa.DataType:
         return pa.string()
 
 
-_OUT = "__smg_out"   # the mixed stream's output struct (null on boundary rows)
-
-
 def _to_arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
     if df is None or len(df) == 0:
         return schema.empty_table()
     return pa.Table.from_pandas(df[schema.names], schema=schema,
                                 preserve_index=False)
-
-
-def _boundary_mask(batch: pa.Table, keys: list[str]):
-    """True on the rows of a key-sorted block's first and last key group:
-    the only groups that may straddle a block boundary."""
-    import pyarrow.compute as pc
-
-    n = batch.num_rows
-    is_first = is_last = None
-    for k in keys:
-        col = batch.column(k)
-        f = pc.equal(col, col[0])
-        l = pc.equal(col, col[n - 1])
-        is_first = f if is_first is None else pc.and_(is_first, f)
-        is_last = l if is_last is None else pc.and_(is_last, l)
-    return pc.or_(is_first, is_last)
 
 
 def bucket_members(batch: pa.Table, keys: list[str], id_col: str,
@@ -127,10 +109,10 @@ def sorted_map_groups(ds, keys: list[str], fn=None, *, schema: pa.Schema,
       Its groups are always whole, contiguous and in key order.
 
     Equivalent to ``ds.groupby(keys).map_groups(...)`` with the output cast
-    to ``schema`` — but block-wise after ONE sort by ``keys``; only each
-    block's first/last (possibly boundary-straddling) key groups take a
-    second pass.  Neither callable may depend on intra-group row order
-    (sort inside — the sort here orders by ``keys`` only).
+    to ``schema`` — but block-wise after ONE sort by ``keys``, which leaves
+    each key group whole in one block (module docstring).  Neither callable
+    may depend on intra-group row order (sort inside — the sort here orders
+    by ``keys`` only).
 
     ``null_keys`` — what to do with rows whose key tuple contains a null
     (they cannot go through the sort: Ray's string-sort partitioner raises
@@ -139,11 +121,6 @@ def sorted_map_groups(ds, keys: list[str], fn=None, *, schema: pa.Schema,
     - "error" (default): raise ValueError on the first null-key row seen —
       no silent behavior on data the operator can't group correctly.
     - "drop": filter them out (pandas-groupby semantics).
-    - "separate": process all null-key rows as one extra pass on a single
-      block (SQL GROUP BY semantics for the ``fn`` path — distinct
-      null-bearing tuples are separate groups via ``dropna=False``; a
-      ``block_fn`` receives them as one ordinary block and must handle
-      null keys itself).  Costs a second scan of ``ds``.
 
     ``arrow_blocks`` (block_fn only): pass ``block_fn`` zero-copy
     ``pyarrow.Table`` blocks instead of pandas DataFrames (it may return
@@ -158,12 +135,9 @@ def sorted_map_groups(ds, keys: list[str], fn=None, *, schema: pa.Schema,
     if arrow_blocks and block_fn is None:
         raise ValueError("arrow_blocks=True requires block_fn (the fn "
                          "path is pandas-per-group by definition)")
-    if null_keys not in ("error", "drop", "separate"):
-        raise ValueError(f"null_keys must be error/drop/separate, "
-                         f"got {null_keys!r}")
+    if null_keys not in ("error", "drop"):
+        raise ValueError(f"null_keys must be error/drop, got {null_keys!r}")
     import pyarrow.compute as pc
-
-    out_type = pa.struct(list(schema))
 
     def apply(batch: pa.Table) -> pa.Table:
         """Whole key groups -> schema-cast output, via whichever callable
@@ -179,9 +153,6 @@ def sorted_map_groups(ds, keys: list[str], fn=None, *, schema: pa.Schema,
             if block_fn is not None:
                 out = block_fn(df)
             else:
-                # dropna=False: with null_keys="separate", null-bearing key
-                # tuples are real groups; on the sorted (all-valid) path it
-                # is a no-op
                 parts = [fn(g) for _, g in df.groupby(keys, sort=False,
                                                       dropna=False)]
                 parts = [p for p in parts if p is not None and len(p)]
@@ -192,73 +163,25 @@ def sorted_map_groups(ds, keys: list[str], fn=None, *, schema: pa.Schema,
             return out.select(schema.names).cast(schema)
         return _to_arrow(out, schema)
 
-    def scan(batch: pa.Table) -> pa.Table:
-        """One sorted block -> the mixed stream: the boundary groups' raw
-        rows (``_OUT`` null), then the interior groups' output rows (input
-        columns null, output in the ``_OUT`` struct)."""
-        if batch.num_rows == 0:
-            return batch.append_column(_OUT, pa.nulls(0, out_type))
-        edge = _boundary_mask(batch, keys)
-        boundary = batch.filter(edge)
-        out = apply(batch.filter(pc.invert(edge)))
-        boundary = boundary.append_column(
-            _OUT, pa.nulls(boundary.num_rows, out_type))
-        n = out.num_rows
-        interior = pa.Table.from_arrays(
-            [pa.nulls(n, f.type) for f in batch.schema]
-            + [pa.StructArray.from_arrays(
-                [c.combine_chunks() for c in out.columns],
-                fields=list(schema))],
-            schema=boundary.schema)
-        return pa.concat_tables([boundary, interior])
-
-    def output_rows(batch: pa.Table) -> pa.Table:
-        rows = batch.column(_OUT).filter(pc.is_valid(batch.column(_OUT)))
-        return pa.Table.from_arrays(rows.flatten(), schema=schema)
-
-    def boundary_rows(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_null(batch.column(_OUT))).drop_columns(
-            [_OUT])
-
-    def whole_groups(batch: pa.Table) -> pa.Table:
-        """Rows of whole groups gathered into ONE block, sorted locally
-        so every group is contiguous and in key order."""
-        return apply(batch.sort_by([(k, "ascending") for k in keys]))
-
-    def _valid_mask(batch: pa.Table):
+    def guard(batch: pa.Table) -> pa.Table:
         m = None
         for k in keys:
             iv = pc.is_valid(batch.column(k))
             m = iv if m is None else pc.and_(m, iv)
-        return m
-
-    def guard(batch: pa.Table) -> pa.Table:
-        m = _valid_mask(batch)
         if null_keys == "error":
             bad = batch.num_rows - (pc.sum(m).as_py() or 0)
             if bad:
                 raise ValueError(
                     f"sorted_map_groups: {bad} row(s) with null group "
                     f"key(s) {keys} — pre-filter them, or pass "
-                    f"null_keys='drop'/'separate'")
+                    f"null_keys='drop'")
             return batch
         return batch.filter(m)
 
-    def keep_nulls(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(_valid_mask(batch)))
-
-    # the one materialization: interior output + boundary rows (at most
-    # two key groups per block), read twice below
-    mixed = (ds.map_batches(guard, batch_format="pyarrow").sort(keys)
-             .map_batches(scan, batch_format="pyarrow", batch_size=None)
-             .materialize())
-    out = mixed.map_batches(output_rows, batch_format="pyarrow").union(
-        mixed.map_batches(boundary_rows, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(whole_groups, batch_format="pyarrow", batch_size=None))
-    if null_keys == "separate":
-        out = out.union(ds.map_batches(keep_nulls, batch_format="pyarrow")
-                        .repartition(1)
-                        .map_batches(whole_groups, batch_format="pyarrow",
-                                     batch_size=None))
+    out = (ds.map_batches(guard, batch_format="pyarrow").sort(keys)
+           .map_batches(apply, batch_format="pyarrow", batch_size=None))
+    # every block is cast to ``schema``, so record it: Ray cannot infer a
+    # UDF's output schema, and ``schema()`` (which every join calls on its
+    # inputs) would otherwise run the whole sort just to read it
+    out._plan.cache_schema(schema)
     return out

@@ -247,8 +247,9 @@ def connected_components_str(pairs_ds, *, a: str = "a", b: str = "b",
         hashed.map_batches(endpoints, batch_format="pyarrow"),
         ["node"], [("node_str", "min")]).materialize()
 
+    # read twice (the per-component min, then the join back onto it)
     named = lookup_join(comp, vocab, left_key="node", right_key="node",
-                        payload=["node_str"], suffix="_v")
+                        payload=["node_str"], suffix="_v").materialize()
     reprs = auto_hash_aggregate(
         named.select_columns(["component", "node_str_v"]),
         ["component"], [("node_str_v", "min")])

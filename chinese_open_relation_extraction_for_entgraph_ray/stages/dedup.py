@@ -608,9 +608,11 @@ def shingle_intersections(docs_ds, k: int = 3,
 
         df_tbl = _sha(index.map_batches(ones, batch_format="pyarrow"),
                       ["h1", "h2"], [("df", "sum")])
+        # read twice: the semi-join fetches its schema, then joins it
         rare = df_tbl.filter(expr=f"df <= {int(max_df)}").map_batches(
             lambda b: pa.Table.from_arrays(
-                [b.column("h1")], names=["h1k"]), batch_format="pyarrow")
+                [b.column("h1")], names=["h1k"]),
+            batch_format="pyarrow").materialize()
         # NOTE: the semi-join key is h1 only (the 64-bit half) — collisions
         # there merely keep a few extra shingles, never drop one
         index = semi_join(index, rare, left_key="h1", right_key="h1k")

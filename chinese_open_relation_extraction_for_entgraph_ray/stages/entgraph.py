@@ -34,8 +34,8 @@ oracle running the same join.
   exchange);
 - pair emission is an inverted-index join on the argument pair: ONE sort
   by the feature key, per-bucket ``triu_indices`` pair emit vectorized
-  over whole sorted blocks (boundary buckets exact via
-  ``sorted_map_groups``'s second pass);
+  over whole sorted blocks (``sorted_map_groups``: each bucket lands
+  whole in one block);
 - the quadratic danger is a HUB argument pair shared by many predicates
   (a bucket of d predicates emits d^2/2 rows).  ``max_feature_df`` drops
   features above the cap BEFORE pair emission (the standard prefix

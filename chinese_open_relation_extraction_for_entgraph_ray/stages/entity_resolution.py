@@ -137,7 +137,8 @@ def resolve_entities(strings_ds, *, col: str = "entity", max_edit: int = 3,
         return pa.Table.from_arrays(
             [ent, pc.coalesce(lab, ent)], names=["entity", "canonical"])
 
-    labeled = labeled.map_batches(canon, batch_format="pyarrow")
+    # read twice (the size aggregate, then the join back onto it)
+    labeled = labeled.map_batches(canon, batch_format="pyarrow").materialize()
     sizes = auto_hash_aggregate(
         labeled.map_batches(
             lambda b: b.append_column("n", pa.array([1] * len(b),

@@ -103,11 +103,12 @@ def pagerank(edges_ds, *, src: str = "src", dst: str = "dst",
             and edges.count() <= broadcast_max_edges):
         return _pagerank_broadcast(edges, nodes, n_nodes,
                                    damping=damping, iters=iters, tol=tol)
+    # read twice: the join fetches its schema, then joins it
     outdeg = sorted_hash_aggregate(
         edges.map_batches(
             lambda t: ones(t.select(["src"]), "outdeg"),
             batch_format="pyarrow"),
-        ["src"], [("outdeg", "sum")])
+        ["src"], [("outdeg", "sum")]).materialize()
 
     # ranks table: (node, outdeg [0 = dangling], rank)
     ranks = lookup_join(nodes, outdeg, left_key="node", right_key="src",
@@ -939,9 +940,10 @@ def _ppr_join(edges, nodes, seeds: list[str], *, weighted: bool,
             [t.column("src"), pa.array(w, pa.float64())],
             names=["src", "wout"])
 
+    # read twice: the join fetches its schema, then joins it
     woutt = sorted_hash_aggregate(
         edges.map_batches(src_w, batch_format="pyarrow"),
-        ["src"], [("wout", "sum")])
+        ["src"], [("wout", "sum")]).materialize()
 
     def init(t: pa.Table) -> pa.Table:
         seed = pc.cast(pc.is_in(t.column("node"), value_set=seed_arr),

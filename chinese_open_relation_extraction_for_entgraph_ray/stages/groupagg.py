@@ -7,14 +7,15 @@ the hundreds of thousands.  This operator keeps the exchange (Ray ``sort`` on
 two int64 columns — far cheaper than a multi-string-key sort) but does all
 aggregation through pyarrow's C++ hash aggregation (~0.1 s per million rows).
 
-Exactness across block boundaries uses the same pattern as the MinHash pair
-generator (``stages/dedup.py``): after the sort, a group is contiguous, so a
-block aggregates every key except its first and last (those may straddle a
-boundary); straddling keys' partial aggregates — at most 2 per block,
-independent of data size — are merged in a tiny second pass.  This requires
-every aggregate to be re-aggregatable (sum/min/max of partials), which also
-makes the operator skew-proof: a hot key is reduced once per block, then
-once over <= #blocks partials.
+After the sort by the key hash every group sits whole in one sorted block
+(the invariant ``stages/blockgroup.py`` documents and
+``tests/test_blockgroup.py`` pins), so each block is aggregated once and its
+output is final: no boundary pass.  The sort does not bound a hot key — it
+lands in one block with all its rows.  What bounds it is
+:func:`auto_hash_aggregate`'s pre-combine, which reduces every input batch
+first so the exchange sees at most one partial per (batch, key).  Every
+aggregate must be re-aggregatable (sum/min/max of partials) for that
+pre-combine to compose.
 
 Keys are hashed to 128 bits (two int64 columns) so key collisions stay
 negligible even at billions of distinct groups; the original key columns ride
@@ -31,7 +32,7 @@ import hashlib
 
 import pyarrow as pa
 
-_KH, _KL, _KIND = "__gh_hi", "__gh_lo", "__gh_kind"
+_KH, _KL = "__gh_hi", "__gh_lo"
 
 # two independent hash seeds -> two independent 64-bit hashes = a 128-bit
 # combined key (collisions negligible at billions of groups).  polars'
@@ -124,27 +125,6 @@ def _pa_aggregate(batch: pa.Table, key_cols: list[str],
         [renames.get(name, name) for name in agg.column_names])
 
 
-def _split_boundary(agg: pa.Table) -> pa.Table:
-    """kind=1 for interior keys, kind=0 for the block's first/last key (sorted
-    input => only those can straddle block boundaries)."""
-    import pyarrow.compute as pc
-
-    n = agg.num_rows
-    if n == 0:
-        return agg.append_column(_KIND, pa.array([], pa.int8()))
-    hi, lo = agg.column(_KH), agg.column(_KL)
-    first = (pc.equal(hi, hi[0]).combine_chunks(),
-             pc.equal(lo, lo[0]).combine_chunks())
-    last = (pc.equal(hi, hi[n - 1]).combine_chunks(),
-            pc.equal(lo, lo[n - 1]).combine_chunks())
-    import numpy as np
-
-    is_edge = (np.asarray(first[0]) & np.asarray(first[1])) | \
-              (np.asarray(last[0]) & np.asarray(last[1]))
-    kind = np.where(is_edge, 0, 1).astype(np.int8)
-    return agg.append_column(_KIND, pa.array(kind, pa.int8()))
-
-
 def sorted_hash_aggregate(ds, key_cols: list[str],
                           agg_spec: list[tuple[str, str]]):
     """Dataset group-aggregate by ``key_cols``.
@@ -158,30 +138,15 @@ def sorted_hash_aggregate(ds, key_cols: list[str],
         if fn not in ("sum", "min", "max"):
             raise ValueError(f"non-reaggregatable fn {fn!r}")
 
-    def block_agg(batch: pa.Table) -> pa.Table:
-        return _split_boundary(_pa_aggregate(batch, key_cols, agg_spec))
-
-    def merge_boundary(batch: pa.Table) -> pa.Table:
-        return _pa_aggregate(batch, key_cols, agg_spec)
-
     out_cols = list(key_cols) + [c for c, _ in agg_spec]
 
-    def drop_aux(batch: pa.Table) -> pa.Table:
-        return batch.select(out_cols)   # fixed order so union schemas match
+    def block_agg(batch: pa.Table) -> pa.Table:
+        return _pa_aggregate(batch, key_cols, agg_spec).select(out_cols)
 
-    hashed = ds.map_batches(lambda b: _add_key_hash(b, key_cols),
-                            batch_format="pyarrow")
-    mixed = (hashed.sort([_KH, _KL])
-             .map_batches(block_agg, batch_format="pyarrow", batch_size=None)
-             .materialize())   # small: one row per (block, key); read twice
-    interior = mixed.filter(expr=f"{_KIND} == 1") \
-                    .map_batches(drop_aux, batch_format="pyarrow")
-    boundary = (mixed.filter(expr=f"{_KIND} == 0")
-                .repartition(1)
-                .map_batches(merge_boundary, batch_format="pyarrow",
-                             batch_size=None)
-                .map_batches(drop_aux, batch_format="pyarrow"))
-    return interior.union(boundary)
+    return (ds.map_batches(lambda b: _add_key_hash(b, key_cols),
+                           batch_format="pyarrow")
+            .sort([_KH, _KL])
+            .map_batches(block_agg, batch_format="pyarrow", batch_size=None))
 
 
 def combine_batch_size() -> int:

@@ -20,9 +20,10 @@ block function is a vectorized grouped cumcount-vs-quota filter — no
 per-group Python dispatch, no driver-side row loop.  The quota dict is
 O(#groups) and ships by closure.
 
-Partitioning caveat (inherited from ``sorted_map_groups``): a mixture
-over FEW HUGE groups (5 languages over 100 TB) concentrates each group
-into the boundary pass.  The exact alternative at that shape is
+Partitioning caveat (inherited from ``sorted_map_groups``): the sort puts
+each group whole in one block, so a mixture over FEW HUGE groups (5
+languages over 100 TB) runs each group in one task and needs it to fit a
+worker's heap.  The exact alternative at that shape is
 rank-threshold selection — per group, find the n_g-th smallest rank via
 a distributed selection (or a quantile sketch + exact tie sweep) and
 filter ``rank <= threshold`` streaming, never co-locating a group.  This

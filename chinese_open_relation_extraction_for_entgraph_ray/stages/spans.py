@@ -24,18 +24,19 @@ index; the distributed equivalent used here is windows-as-rows:
    the decontaminate.py broadcast pattern.  If the duplicated-hash set
    exceeds ``MAX_BROADCAST_DUP_HASHES`` the operator falls back to the
    shuffle-based ``semi_join`` automatically (logged) instead of OOMing.
-3. **span union** — marked positions stream through a per-block
-   constant-width interval merge (numpy cumsum islands); only each
-   block's first/last doc can straddle a block boundary, so those docs'
-   spans — O(blocks), independent of data size — are re-merged in a tiny
-   single-partition second pass (the ``sorted_hash_aggregate`` boundary
-   pattern).  NO sort exchange anywhere: window emission keeps every
-   doc's positions contiguous and ascending, filters preserve order, and
-   the merge asserts that invariant per block so a violated assumption
+3. **span union** — on the broadcast path ONE ``map_batches`` over the
+   documents emits each batch's windows, marks the duplicated ones and
+   merges them into spans (a constant-width interval merge: numpy cumsum
+   islands).  A document is one input row, so its spans are final within
+   its batch: no exchange and no second pass.  The semi-join fallback
+   orders marked rows by hash, so it sorts them by ``doc_col`` alone —
+   the range partition keeps every document whole in one block — then
+   sorts ``(doc, pos)`` inside each block and merges.  The merge asserts
+   docs contiguous and positions ascending, so a violated assumption
    fails loudly rather than emitting wrong spans.
 
 Scale shape: the only exchange is the pre-combined hash-count aggregate
-(O(distinct windows per block) rows); marked positions and spans stream.
+(O(distinct windows per block) rows); spans stream.
 Window identity is 64-bit hash equality, not string equality — a
 collision would mark a non-duplicated window (bounded impact: one
 spurious <= window-length span), with pairwise probability ~2^-64 on
@@ -115,62 +116,6 @@ def _window_hash_batch(batch: pa.Table, *, window: int, stride: int,
         names=["h", doc_col, "pos"])
 
 
-def _merge_const_width(batch: pa.Table, *, window: int,
-                       doc_col: str) -> pa.Table:
-    """Marked (doc_id, pos) rows -> merged spans, vectorized.  Requires
-    docs contiguous and pos ascending per doc (asserted); intervals are
-    all [pos, pos+window) so the running max end within a doc is just the
-    previous pos + window.  Appends kind=0 for each block's first/last
-    doc's spans (may straddle block boundaries), kind=1 for interior."""
-    n = batch.num_rows
-    if n == 0:
-        return _SPAN_SCHEMA.empty_table().append_column(
-            "__kind", pa.array([], pa.int8()))
-    doc = np.asarray(batch.column(doc_col), dtype=np.int64)
-    pos = np.asarray(batch.column("pos"), dtype=np.int64)
-    same_doc = doc[1:] == doc[:-1]
-    if not np.all(pos[1:][same_doc] > pos[:-1][same_doc]):
-        raise AssertionError(
-            "duplicate_spans: positions not ascending within a doc — the "
-            "doc-contiguous stream invariant was broken upstream")
-    new_island = np.empty(n, dtype=bool)
-    new_island[0] = True
-    new_island[1:] = ~same_doc | (pos[1:] > pos[:-1] + window)
-    starts = np.flatnonzero(new_island)
-    ends = np.concatenate([starts[1:], [n]]) - 1
-    span_doc = doc[starts]
-    kind = np.where((span_doc == doc[0]) | (span_doc == doc[-1]), 0, 1) \
-             .astype(np.int8)
-    return pa.Table.from_arrays(
-        [pa.array(span_doc, pa.int64()),
-         pa.array(pos[starts], pa.int64()),
-         pa.array(pos[ends] + window, pa.int64()),
-         pa.array(kind, pa.int8())],
-        names=["doc_id", "span_start", "span_end", "__kind"])
-
-
-def _merge_variable(df) -> pa.Table:
-    """Boundary pass: re-union spans of block-edge docs (tiny — O(blocks)
-    spans).  Variable widths, so this is the general sweep: sort, then
-    running max of span_end within each doc via grouped cummax.  Returns
-    arrow so the union with the interior stream keeps one schema (pandas
-    blocks null-coerce int columns)."""
-    if len(df) == 0:
-        return _SPAN_SCHEMA.empty_table()
-    df = df.sort_values(["doc_id", "span_start", "span_end"],
-                        kind="mergesort", ignore_index=True)
-    run_end = df.groupby("doc_id", sort=False)["span_end"].cummax() \
-                .shift(1, fill_value=-1)
-    first_of_doc = ~df["doc_id"].duplicated()
-    new_island = first_of_doc | (df["span_start"] > run_end)
-    island = new_island.cumsum()
-    out = df.groupby(island, sort=False).agg(
-        doc_id=("doc_id", "first"), span_start=("span_start", "min"),
-        span_end=("span_end", "max")).reset_index(drop=True)
-    return pa.Table.from_pandas(out, schema=_SPAN_SCHEMA,
-                                preserve_index=False)
-
-
 def _dup_hash_ds(docs_ds, *, window: int, stride: int, doc_col: str,
                  text_col: str):
     """(windows dataset, duplicated-hash dataset): every window hash
@@ -217,6 +162,43 @@ def _membership(dup: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (idx < len(dup)) & (dup[np.minimum(idx, len(dup) - 1)] == h)
 
 
+def _merge_const_width(doc: np.ndarray, pos: np.ndarray, *,
+                       window: int) -> pa.Table:
+    """Marked (doc, pos) window starts -> merged spans, vectorized.
+    Requires docs contiguous and pos ascending per doc (asserted);
+    intervals are all [pos, pos+window) so the running max end within a
+    doc is just the previous pos + window."""
+    n = len(doc)
+    if n == 0:
+        return _SPAN_SCHEMA.empty_table()
+    same_doc = doc[1:] == doc[:-1]
+    if not np.all(pos[1:][same_doc] > pos[:-1][same_doc]):
+        raise AssertionError(
+            "duplicate_spans: positions not ascending within a doc — the "
+            "doc-contiguous stream invariant was broken upstream")
+    new_island = np.empty(n, dtype=bool)
+    new_island[0] = True
+    new_island[1:] = ~same_doc | (pos[1:] > pos[:-1] + window)
+    starts = np.flatnonzero(new_island)
+    ends = np.concatenate([starts[1:], [n]]) - 1
+    return pa.Table.from_arrays(
+        [pa.array(doc[starts], pa.int64()), pa.array(pos[starts], pa.int64()),
+         pa.array(pos[ends] + window, pa.int64())], schema=_SPAN_SCHEMA)
+
+
+def _batch_spans(batch: pa.Table, dup: np.ndarray, *, window: int,
+                 stride: int, doc_col: str, text_col: str) -> pa.Table:
+    """One batch of documents -> their merged duplicate spans: emit the
+    windows, mark those in the sorted duplicated-hash set ``dup``, merge.
+    A document is one row, so its spans are final within the batch."""
+    wt = _window_hash_batch(batch, window=window, stride=stride,
+                            doc_col=doc_col, text_col=text_col)
+    hit = _membership(dup, np.asarray(wt.column("h"), dtype=np.int64))
+    return _merge_const_width(
+        np.asarray(wt.column(doc_col), dtype=np.int64)[hit],
+        np.asarray(wt.column("pos"), dtype=np.int64)[hit], window=window)
+
+
 def duplicate_spans(docs_ds, *, window: int = 32, stride: int = 1,
                     doc_col: str = "doc_id", text_col: str = "text"):
     """Dataset of documents -> (doc_id, span_start, span_end) merged char
@@ -236,43 +218,35 @@ def duplicate_spans(docs_ds, *, window: int = 32, stride: int = 1,
             "duplicate_spans: duplicated-hash set exceeds the broadcast "
             "budget (%d) — falling back to the semi-join path",
             MAX_BROADCAST_DUP_HASHES)
-        # the semi-join exchange orders rows by hash, so restore the
-        # doc-contiguous ascending-pos invariant the merge depends on
-        marked = semi_join(wins, dup_hash_ds, left_key="h", right_key="h",
-                           left_key_nullable=False) \
-            .map_batches(lambda b: b.select([doc_col, "pos"]),
-                         batch_format="pyarrow") \
-            .sort([doc_col, "pos"])
-    else:
-        if len(dup_sorted) == 0:
-            # no duplicated window anywhere: return a SCHEMA'D empty
-            # (a fully-filtered pipeline would lose its schema otherwise)
-            return ray.data.from_arrow(_SPAN_SCHEMA.empty_table())
-        ref = ray.put(dup_sorted)
 
-        def mark(batch: pa.Table) -> pa.Table:
-            dup = ray.get(ref)
-            h = np.asarray(batch.column("h"), dtype=np.int64)
-            return batch.select([doc_col, "pos"]).filter(
-                pa.array(_membership(dup, h), pa.bool_()))
+        def merge_docs(batch: pa.Table) -> pa.Table:
+            batch = batch.sort_by([(doc_col, "ascending"),
+                                   ("pos", "ascending")])
+            return _merge_const_width(
+                np.asarray(batch.column(doc_col), dtype=np.int64),
+                np.asarray(batch.column("pos"), dtype=np.int64),
+                window=window)
 
-        marked = wins.map_batches(mark, batch_format="pyarrow")
+        # the semi-join exchange orders rows by hash; the sort by doc alone
+        # puts every doc whole in one block for the merge
+        return (semi_join(wins, dup_hash_ds, left_key="h", right_key="h",
+                          left_key_nullable=False)
+                .map_batches(lambda b: b.select([doc_col, "pos"]),
+                             batch_format="pyarrow")
+                .sort(doc_col)
+                .map_batches(merge_docs, batch_format="pyarrow",
+                             batch_size=None))
+    if len(dup_sorted) == 0:
+        # no duplicated window anywhere: return a SCHEMA'D empty
+        # (a fully-filtered pipeline would lose its schema otherwise)
+        return ray.data.from_arrow(_SPAN_SCHEMA.empty_table())
+    ref = ray.put(dup_sorted)
 
-    def block_merge(batch: pa.Table) -> pa.Table:
-        return _merge_const_width(batch, window=window, doc_col=doc_col)
+    def spans(batch: pa.Table) -> pa.Table:
+        return _batch_spans(batch, ray.get(ref), window=window, stride=stride,
+                            doc_col=doc_col, text_col=text_col)
 
-    mixed = marked.map_batches(block_merge, batch_format="pyarrow",
-                               batch_size=None).materialize()
-    interior = mixed.filter(expr="__kind == 1") \
-        .map_batches(lambda b: b.select(["doc_id", "span_start",
-                                         "span_end"]),
-                     batch_format="pyarrow")
-    boundary = (mixed.filter(expr="__kind == 0")
-                .repartition(1)
-                .map_batches(lambda df: _merge_variable(
-                    df[["doc_id", "span_start", "span_end"]]),
-                    batch_format="pandas", batch_size=None))
-    return interior.union(boundary)
+    return docs_ds.map_batches(spans, batch_format="pyarrow")
 
 
 def remove_duplicate_spans(docs_ds, *, window: int = 32, stride: int = 1,
@@ -287,7 +261,7 @@ def remove_duplicate_spans(docs_ds, *, window: int = 32, stride: int = 1,
 
     Because every document is one atomic input row, the whole
     mark -> merge -> cut runs in ONE ``map_batches`` pass against the
-    broadcast duplicated-hash set — no join, no boundary routing.  The
+    broadcast duplicated-hash set — no join and no exchange.  The
     per-doc string splice + md5 is a Python loop over DOCS (not windows);
     marking and span union stay vectorized.  A corpus whose duplicated-
     hash set exceeds the broadcast budget raises loudly — the shuffle
@@ -309,24 +283,12 @@ def remove_duplicate_spans(docs_ds, *, window: int = 32, stride: int = 1,
     ref = ray.put(dup_sorted)
 
     def clean_batch(batch: pa.Table) -> pa.Table:
-        dup = ray.get(ref)
-        wt = _window_hash_batch(batch, window=window, stride=stride,
-                                doc_col=doc_col, text_col=text_col)
-        h = np.asarray(wt.column("h"), dtype=np.int64)
-        hit = _membership(dup, h)
-        doc = np.asarray(wt.column(doc_col), dtype=np.int64)[hit]
-        pos = np.asarray(wt.column("pos"), dtype=np.int64)[hit]
+        sp = _batch_spans(batch, ray.get(ref), window=window, stride=stride,
+                          doc_col=doc_col, text_col=text_col)
         spans_by_doc: dict[int, list[tuple[int, int]]] = {}
-        if len(doc):
-            new_island = np.empty(len(doc), dtype=bool)
-            new_island[0] = True
-            new_island[1:] = (doc[1:] != doc[:-1]) | \
-                (pos[1:] > pos[:-1] + window)
-            starts = np.flatnonzero(new_island)
-            ends = np.concatenate([starts[1:], [len(doc)]]) - 1
-            for d, s, e in zip(doc[starts], pos[starts],
-                               pos[ends] + window):
-                spans_by_doc.setdefault(int(d), []).append((int(s), int(e)))
+        for d, s, e in zip(*(sp.column(c).to_pylist()
+                             for c in _SPAN_SCHEMA.names)):
+            spans_by_doc.setdefault(d, []).append((s, e))
         ids = batch.column(doc_col).to_pylist()
         texts = batch.column(text_col).to_pylist()
         n_spans, removed, md5s = [], [], []

@@ -102,7 +102,6 @@ def test_sorted_map_groups_null_keys_modes(ray_session):
     with pytest.raises(Exception, match="null group key"):
         run("error")
     assert run("drop") == [("a", 3), ("b", 5)]
-    assert run("separate") == [("a", 3), ("b", 5), (None, 30)]
 
 
 def test_key_encoding_injective_with_embedded_nul(ray_session):

@@ -1,6 +1,8 @@
 """sorted_map_groups conformance vs Ray's groupby().map_groups(), including
-boundary-heavy layouts (hot key spanning blocks, singleton keys)."""
+block-heavy layouts (hot key spanning blocks, singleton keys), and the Ray
+sort invariant the operator rests on."""
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
@@ -8,6 +10,49 @@ import pytest
 from chinese_open_relation_extraction_for_entgraph_ray.stages.blockgroup import (
     sorted_map_groups,
 )
+
+
+@pytest.mark.parametrize("max_block_bytes", [None, 64 * 1024])
+@pytest.mark.parametrize("keys", [["k"], ["s"], ["a", "b"]])
+def test_sort_keeps_each_key_group_in_one_block(ray_session, keys,
+                                                max_block_bytes):
+    """``ds.sort(keys)`` range-partitions by key and emits one block per
+    partition, so no key lands in two output blocks — even a key holding
+    half the rows, spread over all 40 input blocks, and under a small
+    ``target_max_block_size``.  ``sorted_map_groups`` and
+    ``sorted_hash_aggregate`` apply per sorted block with no second pass,
+    so a Ray that splits a key group must fail here."""
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
+    n, n_blocks = 40_000, 40
+    i = np.arange(n)
+    k = np.where(i % 2 == 0, 0, i % 997)          # key 0 holds half the rows
+    tbl = pa.table({"k": k, "s": [f"u{v}" for v in k], "a": k % 7,
+                    "b": [f"b{v % 13}" for v in k],
+                    "pad": ["x" * 32] * n})
+    ctx = DataContext.get_current()
+    default_bytes = ctx.target_max_block_size
+    if max_block_bytes:
+        ctx.target_max_block_size = max_block_bytes
+    try:
+        step = n // n_blocks
+        ds = rd.from_arrow([tbl.slice(j * step, step)
+                            for j in range(n_blocks)])
+        bundles = ds.sort(keys).materialize().iter_internal_ref_bundles()
+        blocks = [ray.get(r) for b in bundles for r in b.block_refs]
+    finally:
+        ctx.target_max_block_size = default_bytes
+    blocks = [b for b in blocks if b.num_rows]
+    assert len(blocks) >= 2, "the sort must spread keys over blocks"
+    assert sum(b.num_rows for b in blocks) == n
+    owner: dict = {}
+    for j, b in enumerate(blocks):
+        for key in set(zip(*(b.column(c).to_pylist() for c in keys))):
+            assert owner.setdefault(key, j) == j, \
+                f"key {key} in sorted blocks {owner[key]} and {j}"
+
 
 @pytest.mark.parametrize("n_keys,n_rows,n_blocks", [
     (37, 5000, 13),     # normal fan-out

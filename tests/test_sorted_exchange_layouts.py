@@ -1,9 +1,10 @@
-"""Layout invariance of the ops built on the one sorted-block exchange
-(``stages.blockgroup.sorted_map_groups``): each op's output multiset is the
-same whether its input is one block — every key group but the first and
-last is interior — or about 3 rows per block, where most groups land on a
-block edge and take the boundary pass.  Every input carries a hot key
-spread over >= 3 of the small blocks."""
+"""Layout invariance of the ops built on one sort by key
+(``sorted_map_groups`` in ``stages/blockgroup.py``, ``sorted_hash_aggregate``
+in ``stages/groupagg.py``) and of ``duplicate_spans`` (``stages/spans.py``):
+each op's output multiset is the same whether its input is one block or
+about 3 rows per block, where most key groups start spread over several
+input blocks and only the sort gathers them.  Every input carries a hot
+key spread over >= 3 of the small blocks."""
 
 import math
 
@@ -75,15 +76,36 @@ def _vectors():
                               pa.list_(pa.float64()))})
 
 
+def _agg_rows():
+    # hot key 0 on every other row, plus a two-column key
+    k = [0 if i % 2 == 0 else i % 7 for i in range(60)]
+    return pa.table({"k": pa.array(k, pa.int64()),
+                     "tag": [f"t{v % 3}" for v in k],
+                     "w": pa.array([i % 5 for i in range(60)], pa.int64()),
+                     "x": pa.array([float(i) for i in range(60)])})
+
+
 def _run(op: str, one: bool):
     from chinese_open_relation_extraction_for_entgraph_ray.stages import (
         dedup,
+        groupagg,
         joins,
         semdedup,
         similarity,
+        spans,
     )
 
     pick = 0 if one else 1
+    if op == "hash_aggregate":
+        return groupagg.sorted_hash_aggregate(
+            _layouts(_agg_rows())[pick], ["k", "tag"],
+            [("w", "sum"), ("x", "max")])
+    if op in ("spans", "spans_semi_join"):
+        docs = _layouts(_docs())[pick]
+        with pytest.MonkeyPatch.context() as mp:
+            if op == "spans_semi_join":
+                mp.setattr(spans, "MAX_BROADCAST_DUP_HASHES", 2)
+            return spans.duplicate_spans(docs, window=12)
     if op.startswith(("lookup", "semi", "outer")):
         left, right = (_layouts(t)[pick] for t in _join_sides())
         if op in ("lookup_inner", "lookup_left"):
@@ -111,7 +133,8 @@ def _run(op: str, one: bool):
 
 @pytest.mark.parametrize("op", [
     "lookup_inner", "lookup_left", "semi_semi", "semi_anti", "outer",
-    "minhash", "simhash", "shingle", "embedding", "semdedup"])
+    "minhash", "simhash", "shingle", "embedding", "semdedup",
+    "hash_aggregate", "spans", "spans_semi_join"])
 def test_output_independent_of_block_layout(ray_session, op):
     one_block = _multiset(_run(op, one=True))
     small_blocks = _multiset(_run(op, one=False))
