@@ -28,6 +28,7 @@ Known deliberate divergences (documented, affect nothing at our scales):
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from .deptree import Parse, extract_tuples
 from .lexicon import (
@@ -49,13 +50,10 @@ from .lexicon import (
 _CHINESE_RE = re.compile(r"[一-鿿]")
 _PIVOTS = set(PIVOT_ADV_WORDS)
 _STOPS = set(STOP_WORDS)
-_DIGITS = set("0123456789.")
+_DIGITS = "0123456789."
 
 AMEND_KEYS = ("pob", "mt", "vv", "vcmp", "headneg", "attobj", "attsub",
               "attatt", "vobvob", "copsbj", "attpob", "copadj")
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,8 @@ def no_chinese(s) -> bool:
 
 
 def all_digits(s) -> bool:
-    return bool(s) and all(c in _DIGITS for c in s)
+    """True iff s is non-empty and made of ASCII digits and dots."""
+    return bool(s) and not s.strip(_DIGITS)
 
 
 def pos_ok(word, pos_map, acceptable) -> bool:
@@ -117,51 +116,31 @@ def serialize_rel(rel) -> str:
     return f"{s}::{v}::{o}::::{rel[1]}::::{si}::{vi}::{oi}"
 
 
-def reformat_rels(tuples: list) -> list:
-    """Extractor wire format -> canonical ((S,V,O), T, (Si,Vi,Oi))
-    (reference :57-76); slot counts vary by type (2 for pairs, 4 for DOB)."""
+def canonical_rels(tuples: list, counters: dict, key: str) -> list:
+    """Extractor wire format -> canonical ``([S,V,O], T, [Si,Vi,Oi])`` in one
+    pass: reformat (reference :57-76; slot counts vary by type, 2 for pairs,
+    4 for DOB), add each 4-ary DOB's two SVO projections before it
+    (:235-249), and remove the reserved ``·`` from SVO predicates, counting
+    each under ``key`` (:335-381; remove_from_args=False as in the
+    pipeline's instantiation :1853)."""
     out = []
     for slots, rtype in tuples:
-        names, idxs = [], []
-        for item in slots:
-            if item is None:
-                names.append(None)
-                idxs.append(None)
-            else:
-                idxs.append(item[0])
-                names.append(item[1])
-        out.append((names, rtype, idxs))
-    return out
-
-
-def explode_nary(rels: list) -> list:
-    """Every 4-ary DOB additionally yields its two SVO projections, keeping
-    the original DOB (reference :235-249)."""
-    out = []
-    for rel in rels:
-        if rel[1] != "DOB":
-            out.append(rel)
-            continue
-        names, _, idxs = rel
-        out.append(([names[0], names[1], names[2]], "SVO", [idxs[0], idxs[1], idxs[2]]))
-        out.append(([names[0], names[1], names[3]], "SVO", [idxs[0], idxs[1], idxs[3]]))
-        out.append(rel)
-    return out
-
-
-def strip_interpunct(rels: list, counters=None, key="pred_interpunct") -> list:
-    """Remove the reserved ``·`` from SVO predicates (reference :335-381;
-    remove_from_args=False as in the pipeline's instantiation :1853)."""
-    out = []
-    for rel in rels:
-        if rel[1] == "SVO" and rel[0][1] is not None and "·" in rel[0][1]:
-            if counters is not None:
-                counters[key] = counters.get(key, 0) + 1
-            names = list(rel[0])
+        names = [None if item is None else item[1] for item in slots]
+        idxs = [None if item is None else item[0] for item in slots]
+        if rtype == "DOB":
+            out.append(([names[0], names[1], names[2]], "SVO",
+                        [idxs[0], idxs[1], idxs[2]]))
+            out.append(([names[0], names[1], names[3]], "SVO",
+                        [idxs[0], idxs[1], idxs[3]]))
+            for rel in out[-2:]:
+                pred = rel[0][1]
+                if pred is not None and "·" in pred:
+                    counters[key] = counters.get(key, 0) + 1
+                    rel[0][1] = pred.replace("·", "")
+        elif rtype == "SVO" and names[1] is not None and "·" in names[1]:
+            counters[key] = counters.get(key, 0) + 1
             names[1] = names[1].replace("·", "")
-            out.append((names, rel[1], rel[2]))
-        else:
-            out.append(rel)
+        out.append((names, rtype, idxs))
     return out
 
 
@@ -170,23 +149,45 @@ def _cap(items: list, k: int) -> list:
     return items if len(items) <= k else items[:k]
 
 
-def _of_type(rels: list, rtype: str, cap: int = FILTER_REL_CAP):
-    """(index, rel) pairs of one type, capped (reference filter_rel_list :16-38)."""
-    pairs = [(i, r) for i, r in enumerate(rels) if r[1] == rtype]
-    return _cap(pairs, cap)
+class _View:
+    """One progressive view — base relations plus the amendments so far —
+    with its relations grouped by type in one pass: ``of_type(T)`` is the
+    ``(index, rel)`` pairs of type ``T`` in view order, ``capped(T)`` their
+    first ``FILTER_REL_CAP`` (reference filter_rel_list :16-38)."""
+
+    __slots__ = ("rels", "_types")
+
+    def __init__(self, rels: list):
+        self.rels = rels
+        types: dict[str, list] = {}
+        for i, r in enumerate(rels):
+            pairs = types.get(r[1])
+            if pairs is None:
+                types[r[1]] = [(i, r)]
+            else:
+                pairs.append((i, r))
+        self._types = types
+
+    def of_type(self, rtype: str) -> list:
+        return self._types.get(rtype, [])
+
+    def capped(self, rtype: str) -> list:
+        return _cap(self.of_type(rtype), FILTER_REL_CAP)
 
 
 # =============================================================================
 # Amendment rules (reference :404-1486). Each takes the live merged views
-# j_f/j_c (= base + amendments so far), appends to a_f/a_c/possible and to the
-# residue sets, and bumps counters. ``pos`` is the word->pos-list map.
+# vf/vc (= base + amendments so far, see _View), appends to a_f/a_c/possible
+# and to the residue sets, and bumps counters. ``pos`` is the word->pos-list
+# map.
 # =============================================================================
 
 class _Amender:
-    def __init__(self, ddp: dict, pos, ignore_postag: bool, counts: dict):
-        self.words = ddp["word"]
-        self.heads = ddp["head"]
-        self.deprels = ddp["deprel"]
+    def __init__(self, p: Parse, pos, ignore_postag: bool, counts: dict):
+        self.words = p.words
+        self.heads = p.heads
+        self.deprels = p.deprels
+        self.children = p.children
         self.pos = pos
         self.ignore = ignore_postag
         self.counts = counts
@@ -200,8 +201,14 @@ class _Amender:
         h1 = head_idx + 1
         return any(h == h1 and w == "被" for h, w in zip(self.heads, self.words))
 
+    def _kids(self, i: int) -> list[int]:
+        """Tokens whose head is token i (the roots for i = -1)."""
+        if i >= 0:
+            return self.children[i]
+        return [t for t, h in enumerate(self.heads) if h == 0]
+
     # --- POB (reference :486-634) -------------------------------------------
-    def pob(self, j_f, j_c, a_f, a_c, f_res, c_res):
+    def pob(self, vf, vc, a_f, a_c, f_res, c_res):
         for li, lbl in enumerate(self.deprels):
             if lbl != "POB":
                 continue
@@ -218,8 +225,8 @@ class _Amender:
                 continue
             verb_tok = self.words[verb_i]
 
-            for fi, fr in enumerate(j_f):
-                if fr[1] != "SVO" or fr[2][1] != verb_i:
+            for fi, fr in vf.of_type("SVO"):
+                if fr[2][1] != verb_i:
                     continue
                 if fr[0][2] is None:
                     a_f.append(((fr[0][0], adv_tok + "·X·" + fr[0][1], obj_tok),
@@ -233,13 +240,13 @@ class _Amender:
                                 fr[1], (fr[2][0], fr[2][1], li)))
                     self.counts["pob"] += 2
 
-            for ci, cr in enumerate(j_c):
-                if cr[1] != "SVO" or cr[2][1] != verb_i:
+            for ci, cr in vc.of_type("SVO"):
+                if cr[2][1] != verb_i:
                     continue
                 # prefer the coarse ADV_V span as the object (reference :576-585)
                 span_obj = None
-                for ref in j_c:
-                    if ref[1] == "ADV_V" and ref[0][1] == verb_tok and obj_tok in ref[0][0]:
+                for _, ref in vc.of_type("ADV_V"):
+                    if ref[0][1] == verb_tok and obj_tok in ref[0][0]:
                         span_obj = ref[0][0]
                 if span_obj is None:
                     span_obj = obj_tok
@@ -258,7 +265,7 @@ class _Amender:
                     self.counts["pob"] += 2
 
     # --- MT preposition quirk (reference :643-725) --------------------------
-    def mt(self, j_f, j_c, a_f, a_c):
+    def mt(self, vf, vc, a_f, a_c):
         for li, lbl in enumerate(self.deprels):
             prep = self.words[li]
             if lbl != "MT" or prep not in _PIVOTS:
@@ -267,8 +274,8 @@ class _Amender:
             head_tok = self.words[head_i]
             gp_i = self.heads[head_i] - 1
 
-            for fr in j_f:
-                if fr[1] != "SVO" or fr[2][1] != gp_i:
+            for _, fr in vf.of_type("SVO"):
+                if fr[2][1] != gp_i:
                     continue
                 if "·X·" in fr[0][1]:
                     continue
@@ -283,13 +290,13 @@ class _Amender:
                             fr[1], (head_i, fr[2][1], fr[2][2])))
                 self.counts["mt"] += 1
 
-            for cr in j_c:
-                if cr[1] != "SVO" or cr[2][1] != gp_i:
+            for _, cr in vc.of_type("SVO"):
+                if cr[2][1] != gp_i:
                     continue
                 gp_tok = self.words[gp_i]
                 span_obj = None
-                for ref in j_c:
-                    if ref[1] == "ADV_V" and ref[0][1] == gp_tok and head_tok in ref[0][0]:
+                for _, ref in vc.of_type("ADV_V"):
+                    if ref[0][1] == gp_tok and head_tok in ref[0][0]:
                         span_obj = ref[0][0]
                 if span_obj is None:
                     span_obj = head_tok
@@ -303,8 +310,8 @@ class _Amender:
                 self.counts["mt"] += 1
 
     # --- VV / COO merge (reference :741-852) --------------------------------
-    def vv(self, j_rels, a_out, res):
-        svos = _of_type(j_rels, "SVO")
+    def vv(self, view, a_out, res):
+        svos = view.capped("SVO")
         for i1, r1 in svos:
             pred_rel = self.deprels[r1[2][1]]
             if pred_rel not in ("VV", "COO"):
@@ -335,9 +342,9 @@ class _Amender:
                     self.counts["vv"] += 1
 
     # --- V_CMP predicate fusion (reference :867-954) ------------------------
-    def vcmp_rule(self, j_rels, a_out, res, surface_match: bool):
-        svos = _of_type(j_rels, "SVO")
-        vcmps = _of_type(j_rels, "V_CMP")
+    def vcmp_rule(self, view, a_out, res, surface_match: bool):
+        svos = view.capped("SVO")
+        vcmps = view.capped("V_CMP")
         for i1, r1 in svos:
             if r1[0][0] is not None:       # needs an empty subject
                 continue
@@ -358,12 +365,10 @@ class _Amender:
                 break   # at most one V_CMP per complement in a tree
 
     # --- ATT_OBJ (reference :966-1038) --------------------------------------
-    def att_obj(self, j_f, j_c, a_f, a_c):
-        f_attns = _of_type(j_f, "ATT_N")
-        c_attns = _of_type(j_c, "ATT_N")
-        for r1 in j_f:
-            if r1[1] != "SVO":
-                continue
+    def att_obj(self, vf, vc, a_f, a_c):
+        f_attns = vf.capped("ATT_N")
+        c_attns = vc.capped("ATT_N")
+        for _, r1 in vf.of_type("SVO") if f_attns else ():
             for _, r2 in f_attns:
                 att_w, att_head = r2[0][0], r2[0][1]
                 if att_head == "的":
@@ -377,9 +382,7 @@ class _Amender:
                 a_f.append(((r1[0][0], new_pred, r2[0][0]), r1[1],
                             (r1[2][0], r1[2][1], r2[2][0])))
                 self.counts["attobj"] += 1
-        for r1 in j_c:
-            if r1[1] != "SVO":
-                continue
+        for _, r1 in vc.of_type("SVO") if c_attns else ():
             for _, r2 in c_attns:
                 att_w, att_head = r2[0][0], r2[0][1]
                 if att_w == "不" or att_head == "的":
@@ -398,27 +401,23 @@ class _Amender:
                 self.counts["attobj"] += 1
 
     # --- ATT_POB (reference :1045-1138) --------------------------------------
-    def att_pob(self, j_f, j_c, a_f, a_c):
-        n = len(self.words)
-        for stream, attns, out, bei_prefix, contain_guard in (
-                ("f", _of_type(j_f, "ATT_N"), a_f, True, False),
-                ("c", _of_type(j_c, "ATT_N"), a_c, False, True)):
-            svos = _of_type(j_f if stream == "f" else j_c, "SVO")
-            for _, r1 in svos:
+    def att_pob(self, vf, vc, a_f, a_c):
+        for view, out, bei_prefix, contain_guard in ((vf, a_f, True, False),
+                                                     (vc, a_c, False, True)):
+            attns = view.capped("ATT_N")
+            for _, r1 in view.capped("SVO") if attns else ():
                 for _, r2 in attns:
                     if r1[2][2] is None or r1[2][2] != r2[2][1]:
                         continue
                     att_w = r2[0][0]
-                    att_i1 = r2[2][0] + 1
+                    kids = self._kids(r2[2][0])
                     if bei_prefix:
-                        for bi in range(n):
-                            if self.deprels[bi] == "POB" and self.heads[bi] == att_i1 \
-                                    and self.words[bi] == "被":
+                        for bi in kids:
+                            if self.deprels[bi] == "POB" and self.words[bi] == "被":
                                 att_w = "被" + att_w
                                 break
-                    for ti in range(n):
-                        if self.deprels[ti] != "POB" or self.heads[ti] != att_i1 \
-                                or self.words[ti] == "被":
+                    for ti in kids:
+                        if self.deprels[ti] != "POB" or self.words[ti] == "被":
                             continue
                         obj_tok = self.words[ti]
                         if "·X·" in r1[0][1]:
@@ -433,11 +432,11 @@ class _Amender:
                         self.counts["attpob"] += 1
 
     # --- COP_SBJ (reference :1146-1205) --------------------------------------
-    def cop_sbj(self, j_f, j_c, a_f, a_c):
-        f_attns = _of_type(j_f, "ATT_N")
-        c_attns = _of_type(j_c, "ATT_N")
-        for r1 in j_f:
-            if r1[1] != "SVO" or self.words[r1[2][1]] not in COPULA_PREDS:
+    def cop_sbj(self, vf, vc, a_f, a_c):
+        f_attns = vf.capped("ATT_N")
+        c_attns = vc.capped("ATT_N")
+        for _, r1 in vf.of_type("SVO") if f_attns else ():
+            if self.words[r1[2][1]] not in COPULA_PREDS:
                 continue
             for _, r2 in f_attns:
                 if r1[2][0] is None or r1[2][0] != r2[2][1]:
@@ -447,8 +446,8 @@ class _Amender:
                 a_f.append(((r2[0][0], r1[0][0] + "·" + r1[0][1], r1[0][2]), r1[1],
                             (r2[2][0], r1[2][1], r1[2][2])))
                 self.counts["copsbj"] += 1
-        for r1 in j_c:
-            if r1[1] != "SVO" or self.words[r1[2][1]] not in COPULA_PREDS:
+        for _, r1 in vc.of_type("SVO") if c_attns else ():
+            if self.words[r1[2][1]] not in COPULA_PREDS:
                 continue
             for _, r2 in c_attns:
                 if r1[2][0] is None or r1[2][0] != r2[2][1]:
@@ -462,10 +461,10 @@ class _Amender:
                 self.counts["copsbj"] += 1
 
     # --- COP_ADJ cleft 是…的 (reference :1215-1331; fine-grained only) -------
-    def cop_adj(self, j_f, a_f, f_res):
+    def cop_adj(self, vf, a_f, f_res):
         n = len(self.words)
-        for ri, rel in enumerate(j_f):
-            if rel[1] != "SVO" or rel[0][2] != "的":
+        for ri, rel in vf.of_type("SVO"):
+            if rel[0][2] != "的":
                 continue
             if self.words[rel[2][1]] not in COPULA_PREDS or "·X·" in rel[0][1]:
                 continue
@@ -537,11 +536,9 @@ class _Amender:
                         self.counts["copadj"] += 1
 
     # --- ATT_SUB chains (reference :1345-1391; fine-grained only) ------------
-    def att_sub(self, j_f, a_f):
-        attns = _of_type(j_f, "ATT_N")
-        for r1 in j_f:
-            if r1[1] != "SVO":
-                continue
+    def att_sub(self, vf, a_f):
+        attns = vf.capped("ATT_N")
+        for _, r1 in vf.of_type("SVO"):
             if r1[0][0] is not None and r1[0][2] is not None:
                 continue
             names = [r1[0][1]]
@@ -593,19 +590,17 @@ class _Amender:
             self.counts["attatt"] += 1
 
     # --- VOB_VOB chains (reference :1437-1461; fine-grained only) ------------
-    def vob_vob(self, j_f, a_f):
-        n = len(self.words)
-        for rel in j_f:
-            if rel[1] != "SVO" or rel[0][2] is None or rel[2][2] is None:
+    def vob_vob(self, vf, a_f):
+        for _, rel in vf.of_type("SVO"):
+            if rel[0][2] is None or rel[2][2] is None:
                 continue
             chain_w = [rel[0][2]]
             chain_i = [rel[2][2]]
             changed = True
             while changed:
                 changed = False
-                tail_i1 = chain_i[-1] + 1
-                for ti in range(n):
-                    if self.heads[ti] == tail_i1 and self.deprels[ti] == "VOB":
+                for ti in self._kids(chain_i[-1]):
+                    if self.deprels[ti] == "VOB":
                         chain_w.append(self.words[ti])
                         chain_i.append(ti)
                         changed = True
@@ -620,63 +615,82 @@ class _Amender:
                 self.counts["vobvob"] += 1
 
 
-def amend_sentence(ddp: dict, fine: list, coarse: list, pos,
-                   ignore_postag=False, config: ExtractionConfig | None = None):
+def amend_sentence(p: Parse, fine: list, coarse: list, pos,
+                   config: ExtractionConfig | None = None):
     """Run the 11 progressive amendment rules over one sentence
     (reference build_amendment_relations :404-1486, progressive_flag=True,
     discard_residue=True as called from post_processing :1737-1739).
     Per-rule switches come from ``config`` (reference flags :410-423).
 
+    Each stage reads the progressive view as it stood when the stage began
+    (a :class:`_View`, regrouped by type only after a stage that added
+    amendments) and is skipped when its trigger is absent from the
+    sentence: a ``POB`` token (pob, att_pob), an ``MT`` pivot word (mt), a
+    ``VV`` or ``COO`` token (vv), a ``V_CMP`` tuple (vcmp), ``ATT_N`` tuples
+    (att_obj, att_pob, cop_sbj, att_sub), an ``ATT`` token (att_att), a
+    ``VOB`` token (vob_vob).
+
     Returns (amend_fine, amend_coarse, pruned_fine, pruned_coarse, possible,
     vcmp_counts, amendment_counts).
     """
     cfg = config or DEFAULT_CONFIG
-    counts = {k: 0 for k in AMEND_KEYS}
-    am = _Amender(ddp, pos, ignore_postag or cfg.ignore_postag, counts)
+    counts = dict.fromkeys(AMEND_KEYS, 0)
+    am = _Amender(p, pos, cfg.ignore_postag, counts)
+    labels = set(p.deprels)
     a_f: list = []
     a_c: list = []
     possible: list = []
     f_res: set[int] = set()
     c_res: set[int] = set()
+    vf, vc = _View(fine), _View(coarse)
 
-    def j():     # progressive view: base + amendments so far
-        return fine + a_f, coarse + a_c
+    def advance():     # progressive view: base + amendments so far
+        nonlocal vf, vc
+        if len(vf.rels) != len(fine) + len(a_f):
+            vf = _View(fine + a_f)
+        if len(vc.rels) != len(coarse) + len(a_c):
+            vc = _View(coarse + a_c)
 
-    j_f, j_c = fine, coarse
-    if cfg.amend_pob:
-        am.pob(j_f, j_c, a_f, a_c, f_res, c_res)
-        j_f, j_c = j()
-    if cfg.amend_mt:
-        am.mt(j_f, j_c, a_f, a_c)
-        j_f, j_c = j()
-    if cfg.amend_vv:
-        am.vv(j_f, a_f, f_res)
-        am.vv(j_c, a_c, c_res)
-        j_f, j_c = j()
+    def has_att_n():
+        return bool(vf.of_type("ATT_N") or vc.of_type("ATT_N"))
+
+    if cfg.amend_pob and "POB" in labels:
+        am.pob(vf, vc, a_f, a_c, f_res, c_res)
+        advance()
+    if cfg.amend_mt and "MT" in labels and any(
+            rel == "MT" and w in _PIVOTS for rel, w in zip(p.deprels, p.words)):
+        am.mt(vf, vc, a_f, a_c)
+        advance()
+    if cfg.amend_vv and ("VV" in labels or "COO" in labels):
+        am.vv(vf, a_f, f_res)
+        am.vv(vc, a_c, c_res)
+        advance()
     if cfg.amend_vcmp:
-        am.vcmp_rule(j_f, a_f, f_res, surface_match=True)
-        am.vcmp_rule(j_c, a_c, c_res, surface_match=False)
-        j_f, j_c = j()
+        if vf.of_type("V_CMP"):
+            am.vcmp_rule(vf, a_f, f_res, surface_match=True)
+        if vc.of_type("V_CMP"):
+            am.vcmp_rule(vc, a_c, c_res, surface_match=False)
+        advance()
     if pos is not None or am.ignore:
-        if cfg.amend_att_obj:
-            am.att_obj(j_f, j_c, a_f, a_c)
-            j_f, j_c = j()
-        if cfg.amend_att_pob:
-            am.att_pob(j_f, j_c, a_f, a_c)
-            j_f, j_c = j()
-        if cfg.amend_cop_sbj:
-            am.cop_sbj(j_f, j_c, a_f, a_c)
-            j_f, j_c = j()
+        if cfg.amend_att_obj and has_att_n():
+            am.att_obj(vf, vc, a_f, a_c)
+            advance()
+        if cfg.amend_att_pob and "POB" in labels and has_att_n():
+            am.att_pob(vf, vc, a_f, a_c)
+            advance()
+        if cfg.amend_cop_sbj and has_att_n():
+            am.cop_sbj(vf, vc, a_f, a_c)
+            advance()
     if cfg.amend_cop_adj:
-        am.cop_adj(j_f, a_f, f_res)
-        j_f, j_c = j()
-    if cfg.amend_att_sub:
-        am.att_sub(j_f, a_f)
-        j_f, j_c = j()
-    if cfg.amend_att_att:
+        am.cop_adj(vf, a_f, f_res)
+        advance()
+    if cfg.amend_att_sub and vf.of_type("ATT_N"):
+        am.att_sub(vf, a_f)
+        advance()
+    if cfg.amend_att_att and "ATT" in labels:
         am.att_att(possible)
-    if cfg.amend_vob_vob:
-        am.vob_vob(j_f, a_f)
+    if cfg.amend_vob_vob and "VOB" in labels:
+        am.vob_vob(vf, a_f)
 
     pruned_f = [r for i, r in enumerate(fine) if i not in f_res]
     pruned_c = [r for i, r in enumerate(coarse) if i not in c_res]
@@ -703,12 +717,15 @@ def filter_stopword_triples(rels: list, counters=None, prefix="") -> list:
         obj_null = False
         if subj is not None and len(subj) > ARG_LEN_THRESHOLD:
             skip = True
+        # all_digits(s) implies no_chinese(s): one CJK search per triple
+        # serves the subject test and the object test's (sic) subject half
+        subj_non_cjk = no_chinese(subj)
         if subj in _STOPS:
             skip = True
             if counters is not None:
                 k = f"{prefix}stop::{subj}"
                 counters[k] = counters.get(k, 0) + 1
-        elif all_digits(subj) or no_chinese(subj):
+        elif subj_non_cjk:
             skip = True
             if counters is not None:
                 k = f"{prefix}digit_excluded"
@@ -723,7 +740,7 @@ def filter_stopword_triples(rels: list, counters=None, prefix="") -> list:
             if counters is not None:
                 k = f"{prefix}stop::{obj}"
                 counters[k] = counters.get(k, 0) + 1
-        elif all_digits(obj) or no_chinese(subj):   # sic: subj (reference :310)
+        elif subj_non_cjk or all_digits(obj):   # sic: subj (reference :310)
             skip = True
             if counters is not None:
                 k = f"{prefix}digit_excluded"
@@ -746,23 +763,37 @@ def filter_stopword_triples(rels: list, counters=None, prefix="") -> list:
     return out
 
 
-def _on_pred_path(ddp: dict, desc: int, ante: int) -> bool:
+def _on_pred_path(heads: list, desc: int, ante: int) -> bool:
     """ante lies on desc's head path, desc included (reference :1538-1547)."""
     cur_1 = desc + 1
     child = desc
     while cur_1 != 0:
         if ante + 1 == cur_1:
             return True
-        cur_1 = ddp["head"][child]
+        cur_1 = heads[child]
         child = cur_1 - 1
     return False
 
 
-def mark_negation(rels: list, ddp: dict) -> list:
+def negator_heads(p: Parse) -> list[int]:
+    """Head index of every negation marker of the sentence: an ADV in
+    ``NEG_ADV_WORDS`` or a CMP in ``NEG_CMP_WORDS``."""
+    words = p.words
+    return [p.heads[t] - 1 for t, rel in enumerate(p.deprels)
+            if (rel == "ADV" and words[t] in NEG_ADV_WORDS)
+            or (rel == "CMP" and words[t] in NEG_CMP_WORDS)]
+
+
+def mark_negation(rels: list, p: Parse, negated: list[int]) -> list:
     """Odd count of negation ADV/CMP markers on the predicate tokens prefixes
     the predicate with 否· (reference check_nct :1550-1596; the copular /
-    tense / modal conversions are disabled in the reference and omitted)."""
-    words, heads, deprels = ddp["word"], ddp["head"], ddp["deprel"]
+    tense / modal conversions are :func:`convert_nct`).
+
+    The predicate tokens of an SVO are its head ``vi`` and every token of
+    vi's subtree whose word is a ``·`` chunk of the predicate (other than
+    vi's own word); only the heads of the sentence's markers
+    (``negated``, from :func:`negator_heads`) are tested against that."""
+    words, heads = p.words, p.heads
     out = []
     for rel in rels:
         if rel[1] != "SVO":
@@ -770,19 +801,11 @@ def mark_negation(rels: list, ddp: dict) -> list:
             continue
         vi = rel[2][1]
         vb_toks = rel[0][1].split("·")
-        vb_idxs_1 = []
-        for t in range(len(words)):
-            if _on_pred_path(ddp, t, vi):
-                if words[t] in vb_toks and words[t] != words[vi]:
-                    vb_idxs_1.append(t + 1)
-                elif t == vi:
-                    vb_idxs_1.append(t + 1)
         neg = 0
-        for t in range(len(words)):
-            if heads[t] in vb_idxs_1:
-                if (deprels[t] == "ADV" and words[t] in NEG_ADV_WORDS) or \
-                        (deprels[t] == "CMP" and words[t] in NEG_CMP_WORDS):
-                    neg += 1
+        for q in negated:
+            if q >= 0 and (q == vi or (words[q] in vb_toks and words[q] != words[vi]
+                                       and _on_pred_path(heads, q, vi))):
+                neg += 1
         if neg % 2 == 1:
             out.append(((rel[0][0], "否·" + rel[0][1], rel[0][2]), rel[1], rel[2]))
         else:
@@ -918,33 +941,32 @@ STREAMS = ("fine", "coarse", "amend_fine", "amend_coarse", "possible")
 
 
 def process_sentence(ddp: dict, pos_map=None, counters=None,
-                     ignore_postag=False, convert_copular=False,
-                     convert_tense=False, convert_modal=False,
                      config: ExtractionConfig | None = None) -> dict[str, list]:
     """One sentence parse -> the five filtered triple streams.
 
-    Pipeline: extract fine+coarse tuples -> reformat -> explode DOB ->
-    strip interpunct from predicates -> 11 amendment rules (progressive,
-    residues discarded) -> stop-word filter (all streams) -> negation marking
-    (4 streams) -> SVO-only projection (4 streams) -> coarsify amend_coarse.
+    Pipeline: extract fine+coarse tuples -> reformat, explode DOB and strip
+    interpunct from predicates (one pass, :func:`canonical_rels`) -> 11
+    amendment rules (progressive, residues discarded) -> stop-word filter
+    (all streams) -> negation marking (4 streams) -> SVO-only projection
+    (4 streams) -> coarsify amend_coarse.  Every switch comes from
+    ``config``.
+
+    One :class:`~.deptree.Parse` serves the whole sentence: both
+    ``extract_tuples`` calls (each dispatching its rules by deprel), the
+    amendment rules, negation marking and coarsification read it, and the
+    coarse extraction and coarsification share its subtree spans.
     """
     cfg = config or DEFAULT_CONFIG
-    convert_copular = convert_copular or cfg.convert_copular
-    convert_tense = convert_tense or cfg.convert_tense
-    convert_modal = convert_modal or cfg.convert_modal
-    ignore_postag = ignore_postag or cfg.ignore_postag
     if counters is None:
         counters = {}
-    fine = strip_interpunct(
-        explode_nary(reformat_rels(extract_tuples(ddp, coarse=False))),
-        counters, "fine_interpunct")
-    coarse_parse = Parse(ddp)
-    coarse = strip_interpunct(
-        explode_nary(reformat_rels(extract_tuples(ddp, coarse=True))),
-        counters, "coarse_interpunct")
+    p = Parse(ddp)
+    fine = canonical_rels(extract_tuples(p, coarse=False), counters,
+                          "fine_interpunct")
+    coarse = canonical_rels(extract_tuples(p, coarse=True), counters,
+                            "coarse_interpunct")
 
     a_f, a_c, fine, coarse, possible, vcmp, counts = amend_sentence(
-        ddp, fine, coarse, pos_map, ignore_postag, config=cfg)
+        p, fine, coarse, pos_map, config=cfg)
     for k, v in counts.items():
         if v:
             counters[f"amend::{k}"] = counters.get(f"amend::{k}", 0) + v
@@ -957,20 +979,26 @@ def process_sentence(ddp: dict, pos_map=None, counters=None,
     a_c = filter_stopword_triples(a_c)
     possible = filter_stopword_triples(possible)
 
+    convert = cfg.convert_copular or cfg.convert_tense or cfg.convert_modal
+    negated = negator_heads(p)
+
     def _nct(rels):
-        rels = mark_negation(rels, ddp)
-        if convert_copular or convert_tense or convert_modal:
-            rels = convert_nct(rels, ddp, copular=convert_copular,
-                               tense=convert_tense, modal=convert_modal)
-        return svo_only(rels, cfg.svo_cap)
+        # negation and the conversions map SVOs one to one and keep their
+        # order, so projecting and capping first gives the same triples
+        rels = svo_only(rels, cfg.svo_cap)
+        if negated:
+            rels = mark_negation(rels, p, negated)
+        if convert:
+            rels = convert_nct(rels, ddp, copular=cfg.convert_copular,
+                               tense=cfg.convert_tense, modal=cfg.convert_modal)
+        return rels
 
     fine = _nct(fine)
     coarse = _nct(coarse)
     a_f = _nct(a_f)
     a_c = _nct(a_c)
 
-    a_c = coarsify_rels(coarse_parse, a_c, subj_flag=True, obj_flag=True,
-                        keep_same=True)
+    a_c = coarsify_rels(p, a_c, subj_flag=True, obj_flag=True, keep_same=True)
     out = {"fine": fine, "coarse": coarse, "amend_fine": a_f,
            "amend_coarse": a_c, "possible": possible}
     if cfg.add_half_coarse:
@@ -978,13 +1006,13 @@ def process_sentence(ddp: dict, pos_map=None, counters=None,
         # half-coarse variants where only one argument is span-expanded,
         # kept only when the expansion actually changed it
         out["crossed"] = (
-            coarsify_rels(coarse_parse, fine, subj_flag=True, obj_flag=False,
+            coarsify_rels(p, fine, subj_flag=True, obj_flag=False,
                           keep_same=False)
-            + coarsify_rels(coarse_parse, fine, subj_flag=False, obj_flag=True,
+            + coarsify_rels(p, fine, subj_flag=False, obj_flag=True,
                             keep_same=False))
         out["amend_crossed"] = (
-            coarsify_rels(coarse_parse, a_f, subj_flag=True, obj_flag=False,
+            coarsify_rels(p, a_f, subj_flag=True, obj_flag=False,
                           keep_same=False)
-            + coarsify_rels(coarse_parse, a_f, subj_flag=False, obj_flag=True,
+            + coarsify_rels(p, a_f, subj_flag=False, obj_flag=True,
                             keep_same=False))
     return out

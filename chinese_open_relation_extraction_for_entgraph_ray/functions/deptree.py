@@ -12,11 +12,20 @@ empty slots; DOB tuples are 4-ary (extract.py:379-382).  "Coarse" renders
 arguments as their full subtree span (``process_sub_term``, extract.py:706-731)
 instead of the single head word.
 
-Implementation style is array-based (precomputed child lists, one traversal
-driver, a ``coarse`` flag selecting argument rendering) rather than the
-reference's two parallel class hierarchies, but rule-for-rule the emitted
-tuples match; the golden tests in ``tests/test_deptree.py`` pin them against
-the worked examples embedded in the reference.
+Implementation style is array-based rather than the reference's two parallel
+class hierarchies: a :class:`Parse` holds each token's child list and the
+deprels of those children, and one traversal driver, with a ``coarse`` flag
+selecting argument rendering, emits the tuples.  One ``Parse`` serves a whole
+sentence: ``cascade.process_sentence`` builds it once and passes it to the
+fine and the coarse :func:`extract_tuples` and to argument coarsification,
+which share its subtree spans.  The driver dispatches by deprel: it calls a
+rule on a token only when the rule's trigger is there — the token's own label
+(``POB`` for ba/bei/pob, ``F``, ``IC``, ``HED``) or a child label (``SBV`` /
+``VOB`` for svo, ``ADV``, ``ATT``, ``CMP``, ``DBL``, ``VV``, two ``DOB``) —
+since every other call returns nothing.  Rule-for-rule the emitted tuples
+match the reference; the golden tests in ``tests/test_cascade_golden.py`` pin
+them against the worked examples embedded in the reference, and
+``tests/test_cascade_frozen.py`` pins the whole cascade's outputs.
 """
 
 from __future__ import annotations
@@ -28,28 +37,29 @@ BEI_WORDS = ("被",)
 class Parse:
     """One sentence parse with precomputed child lists.
 
-    ``children[i]`` = sorted left children then sorted right children of token
-    i — the same iteration order as the reference's ``lefts + rights``
-    (extract.py:61-68).
+    ``children[i]`` = token i's children in index order, which is the
+    reference's ``lefts + rights`` (extract.py:61-68); ``child_rels[i]`` =
+    their deprels, in the same order.
     """
 
-    __slots__ = ("words", "heads", "deprels", "children", "root", "_spans")
+    __slots__ = ("words", "heads", "deprels", "children", "child_rels",
+                 "root", "_spans")
 
     def __init__(self, ddp: dict):
         self.words: list[str] = list(ddp["word"])
-        self.heads: list[int] = list(ddp["head"])
-        self.deprels: list[str] = list(ddp["deprel"])
+        self.heads = heads = list(ddp["head"])
+        self.deprels = deprels = list(ddp["deprel"])
         n = len(self.words)
-        lefts: list[list[int]] = [[] for _ in range(n)]
-        rights: list[list[int]] = [[] for _ in range(n)]
+        self.children = children = [[] for _ in range(n)]
+        self.child_rels = child_rels = [[] for _ in range(n)]
         self.root = 0
-        for i, h in enumerate(self.heads):
+        for i in range(n):
+            h = heads[i]
             if h == 0:
                 self.root = i
                 continue
-            p = h - 1
-            (rights[p] if i > p else lefts[p]).append(i)
-        self.children = [sorted(lefts[i]) + sorted(rights[i]) for i in range(n)]
+            children[h - 1].append(i)
+            child_rels[h - 1].append(deprels[i])
         self._spans: dict[int, str] = {}
 
     def parent(self, i: int) -> int:
@@ -227,9 +237,8 @@ def _rule_adv(p: Parse, i: int, coarse: bool) -> list:
 
 
 def _rule_ba(p: Parse, i: int, coarse: bool) -> list:
-    """把/将 constructions (extract.py:183-202 / :496-517)."""
-    if not (p.deprels[i] == "POB" and p.words[i] in BA_WORDS
-            and len(p.rights_of(i)) == 1):
+    """把/将 constructions at POB token i (extract.py:183-202 / :496-517)."""
+    if not (p.words[i] in BA_WORDS and len(p.rights_of(i)) == 1):
         return []
     pi = p.parent(i)
     ba_obj = p.rights_of(i)[0]
@@ -250,8 +259,9 @@ def _rule_ba(p: Parse, i: int, coarse: bool) -> list:
 
 
 def _rule_bei(p: Parse, i: int, coarse: bool) -> list:
-    """被 passives, three sub-cases (extract.py:204-238 / :519-556)."""
-    if not (p.deprels[i] == "POB" and p.words[i] in BEI_WORDS):
+    """被 passives at POB token i, three sub-cases (extract.py:204-238 /
+    :519-556)."""
+    if p.words[i] not in BEI_WORDS:
         return []
     pi = p.parent(i)
     rts = p.rights_of(i)
@@ -285,10 +295,8 @@ def _rule_bei(p: Parse, i: int, coarse: bool) -> list:
     return out
 
 
-def _rule_pob(p: Parse, i: int, bb_flag: bool) -> list:
-    """Bare POB under non-ba/bei (extract.py:240-249)."""
-    if bb_flag or p.deprels[i] != "POB":
-        return []
+def _rule_pob(p: Parse, i: int) -> list:
+    """Bare POB token i under non-ba/bei (extract.py:240-249)."""
     par = p.parent(i)
     gp = p.parent(par)
     if gp != -1:
@@ -344,9 +352,7 @@ def _rule_vv(p: Parse, i: int) -> list:
 
 
 def _rule_f(p: Parse, i: int) -> list:
-    """F location tuples (extract.py:321-331)."""
-    if p.deprels[i] != "F":
-        return []
+    """F location tuples at F token i (extract.py:321-331)."""
     par = p.parent(i)
     prev = par - 1
     if prev >= 0 and p.deprels[prev] == "MT" and p.parent(prev) == par:
@@ -358,8 +364,7 @@ def _rule_f(p: Parse, i: int) -> list:
 
 
 def _rule_ic(p: Parse, i: int) -> list:
-    if p.deprels[i] != "IC":
-        return []
+    """Phrases at IC token i."""
     out = []
     clean = True
     for c in p.children[i]:
@@ -373,8 +378,7 @@ def _rule_ic(p: Parse, i: int) -> list:
 
 
 def _rule_hed(p: Parse, i: int) -> list:
-    if p.deprels[i] != "HED":
-        return []
+    """The HED token i alone, when only MT / IC depend on it."""
     for c in p.children[i]:
         if p.deprels[c] not in ("MT", "IC"):
             return []
@@ -417,36 +421,50 @@ def _phrase_fallback(p: Parse, coarse: bool) -> list:
     return out
 
 
-def extract_tuples(ddp: dict, coarse: bool) -> list:
-    """All structured tuples for one sentence parse (extract.py:76-97/:393-414).
+def extract_tuples(ddp, coarse: bool) -> list:
+    """All structured tuples for one sentence parse — a :class:`Parse` or a
+    ``{word, head, deprel}`` dict (extract.py:76-97/:393-414).
 
-    ``bb_flag`` latches once any ba/bei structure has been seen at an earlier
-    token and stays set for the rest of the sentence, exactly like the
-    reference's accumulating flag.
+    Per token the rules run in the reference's order, each only where its
+    trigger deprel is present (see the module docstring).  ``bb_flag``
+    latches once any ba/bei structure has been seen at an earlier token and
+    stays set for the rest of the sentence, exactly like the reference's
+    accumulating flag.
     """
-    p = Parse(ddp)
+    p = ddp if isinstance(ddp, Parse) else Parse(ddp)
     results: list = []
     bb_flag = False
-    for i in range(len(p.words)):
-        bb = _rule_ba(p, i, coarse) + _rule_bei(p, i, coarse)
-        bb_flag = bool(bb) or bb_flag
-        results += _rule_svo(p, i, bb_flag, coarse)
-        results += _rule_pob(p, i, bb_flag)
-        results += _rule_adv(p, i, coarse)
-        results += _rule_att(p, i, coarse)
-        results += _rule_cmp(p, i)
-        results += _rule_dbl(p, i, coarse)
-        results += _rule_vv(p, i)
-        results += _rule_f(p, i)
-        results += _rule_ic(p, i)
-        results += _rule_hed(p, i)
-        results += _rule_dob(p, i, coarse)
-        results += bb
+    for i, rel in enumerate(p.deprels):
+        crels = p.child_rels[i]
+        bb = None
+        if rel == "POB":
+            bb = _rule_ba(p, i, coarse) + _rule_bei(p, i, coarse)
+            bb_flag = bool(bb) or bb_flag
+        if "SBV" in crels or "VOB" in crels:
+            results += _rule_svo(p, i, bb_flag, coarse)
+        if rel == "POB" and not bb_flag:
+            results += _rule_pob(p, i)
+        if crels:
+            if "ADV" in crels:
+                results += _rule_adv(p, i, coarse)
+            if "ATT" in crels:
+                results += _rule_att(p, i, coarse)
+            if "CMP" in crels:
+                results += _rule_cmp(p, i)
+            if "DBL" in crels:
+                results += _rule_dbl(p, i, coarse)
+            if "VV" in crels:
+                results += _rule_vv(p, i)
+        if rel == "F":
+            results += _rule_f(p, i)
+        elif rel == "IC":
+            results += _rule_ic(p, i)
+        elif rel == "HED":
+            results += _rule_hed(p, i)
+        if crels.count("DOB") == 2:
+            results += _rule_dob(p, i, coarse)
+        if bb:
+            results += bb
     if not results:
         results = _phrase_fallback(p, coarse)
     return results
-
-
-def make_parse(ddp: dict) -> Parse:
-    """Build a Parse (used by coarsify for subtree spans)."""
-    return Parse(ddp)

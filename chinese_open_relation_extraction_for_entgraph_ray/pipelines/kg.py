@@ -257,7 +257,9 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     def _triples(src, metrics_stage: str):
         # per-partition extraction-count metrics to the checkpoint store
         # (north-rule lineage contract; merged key-additively at commit like
-        # the reference's merge_dict, merge_parsed_results.py:8-14)
+        # the reference's merge_dict, merge_parsed_results.py:8-14);
+        # cascade_cpu_s is the batch's process CPU time in extract_linked
+        # (rule cascade, entity linking, row expansion)
         metrics_dir = store.metrics_dir(metrics_stage)
 
         def extract_with_config(batch):
@@ -265,8 +267,10 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
 
             from ..state.lineage import emit_partition_metrics
 
+            cpu0 = _time.process_time()
             out, rec = extract_linked(batch, cfg)
             rec.update(
+                cascade_cpu_s=_time.process_time() - cpu0,
                 n_triples=out.num_rows,
                 n_linked_subj=out.num_rows - out.column("subj_ent").null_count,
                 n_linked_obj=out.num_rows - out.column("obj_ent").null_count,

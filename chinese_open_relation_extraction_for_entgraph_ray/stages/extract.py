@@ -76,9 +76,19 @@ def _distinct_parses(batch: pa.Table) -> tuple[np.ndarray, list[tuple]]:
               .to_numpy(zero_copy_only=False).astype(np.int64)
     _, first_row = np.unique(codes, return_index=True)
     parses = batch.take(pa.array(first_row))
-    return codes, list(zip(parses.column("words").to_pylist(),
-                           parses.column("heads").to_pylist(),
-                           parses.column("deprels").to_pylist()))
+    return codes, list(zip(*(_pylists(parses.column(c))
+                             for c in ("words", "heads", "deprels"))))
+
+
+def _pylists(col: pa.ChunkedArray) -> list[list]:
+    """A list column as Python lists: the flat values converted once and
+    sliced by the offsets (``to_pylist`` builds a scalar per element)."""
+    arr = col.combine_chunks()
+    if arr.null_count:
+        return arr.to_pylist()
+    flat = arr.values.to_numpy(zero_copy_only=False).tolist()
+    ends = arr.offsets.to_numpy().tolist()
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def extract_linked(batch: pa.Table, config: ExtractionConfig = DEFAULT_CONFIG

@@ -9,6 +9,7 @@ FIXTURES.md §3.
 import pytest
 
 from chinese_open_relation_extraction_for_entgraph_ray.functions.cascade import (
+    ExtractionConfig,
     process_sentence,
     serialize_rel,
 )
@@ -277,7 +278,7 @@ def test_filter_idempotent():
 
 # --- tense / modal / copular conversions (reference check_nct branches,
 #     dudepparse.py:1598-1655; disabled consts :1551-1553 — off by default,
-#     exposed as process_sentence flags) --------------------------------------
+#     exposed as ExtractionConfig fields) -------------------------------------
 
 # 张三 将 访问 法国 — future ADV on the predicate head
 T01 = {"word": ["张三", "将", "访问", "法国"], "head": [3, 3, 0, 3],
@@ -300,17 +301,20 @@ def test_tense_flag_off_by_default():
 
 
 def test_tense_future_marker():
-    res = process_sentence(T01, _pos(T01), convert_tense=True)
+    res = process_sentence(T01, _pos(T01),
+                           config=ExtractionConfig(convert_tense=True))
     assert ("张三", "【将来式】·访问", "法国") in svos(res, "fine")
 
 
 def test_tense_past_marker():
-    res = process_sentence(T02, _pos(T02), convert_tense=True)
+    res = process_sentence(T02, _pos(T02),
+                           config=ExtractionConfig(convert_tense=True))
     assert ("张三", "【过去式】·访问", "法国") in svos(res, "fine")
 
 
 def test_modal_marker():
-    res = process_sentence(T03, _pos(T03), convert_modal=True)
+    res = process_sentence(T03, _pos(T03),
+                           config=ExtractionConfig(convert_modal=True))
     assert ("张三", "【该】·访问", "法国") in svos(res, "fine")
 
 
@@ -318,15 +322,12 @@ def test_copular_conversion():
     # 郝平 是 校长 -> (郝平, 是·校长, None) under convert_copular
     ddp = {"word": ["郝平", "是", "校长"], "head": [2, 0, 2],
            "deprel": ["SBV", "HED", "VOB"]}
-    res = process_sentence(ddp, _pos(ddp), convert_copular=True)
+    res = process_sentence(ddp, _pos(ddp),
+                           config=ExtractionConfig(convert_copular=True))
     assert ("郝平", "是·校长", None) in svos(res, "fine")
 
 
 def test_extraction_config_rule_switch():
-    from chinese_open_relation_extraction_for_entgraph_ray.functions.cascade import (
-        ExtractionConfig,
-    )
-
     ddp = {"word": ["中国", "与", "印度", "接壤"], "head": [4, 4, 2, 0],
            "deprel": ["SBV", "ADV", "POB", "HED"]}
     on = process_sentence(ddp, pos_map_for_words(ddp["word"]))
@@ -337,10 +338,6 @@ def test_extraction_config_rule_switch():
 
 
 def test_extraction_config_svo_cap():
-    from chinese_open_relation_extraction_for_entgraph_ray.functions.cascade import (
-        ExtractionConfig,
-    )
-
     res = process_sentence(G01, pos_map_for_words(G01["word"]),
                            config=ExtractionConfig(svo_cap=0))
     assert res["fine"] == []
@@ -349,9 +346,6 @@ def test_extraction_config_svo_cap():
 def test_extraction_config_partitions_stage_memo():
     import pyarrow as pa
 
-    from chinese_open_relation_extraction_for_entgraph_ray.functions.cascade import (
-        ExtractionConfig,
-    )
     from chinese_open_relation_extraction_for_entgraph_ray.stages.extract import (
         extract_triples,
     )
@@ -374,10 +368,6 @@ def test_extraction_config_partitions_stage_memo():
 
 
 def test_add_half_coarse_crossed_streams():
-    from chinese_open_relation_extraction_for_entgraph_ray.functions.cascade import (
-        ExtractionConfig,
-    )
-
     # 张三 急匆匆 地 赶往 机场: coarse subj == fine subj (single token), so only
     # the obj expansion could differ; use an ATT-modified object so the
     # crossed (half-coarse) stream has a changed argument to keep.

@@ -141,10 +141,11 @@ def test_lineage_manifests_written(kg):
         assert manifest["partitions"]
 
 
-# n_partitions: the extract batches that reported (merge_metric_records)
+# n_partitions: the extract batches that reported (merge_metric_records);
+# cascade_cpu_s: their CPU-seconds in extract_linked, summed
 EXTRACTION_COUNTS = {"n_partitions", "n_sentences", "n_distinct_parses",
                      "n_one_word_parses", "n_triples", "n_linked_subj",
-                     "n_linked_obj", "n_negated"}
+                     "n_linked_obj", "n_negated", "cascade_cpu_s"}
 
 
 def _extraction_record(out_dir: str, triples) -> dict:
@@ -177,6 +178,7 @@ def test_triples_manifest_schema_and_counts_add_up(kg):
     assert 0 <= ext["n_one_word_parses"] <= ext["n_sentences"]
     for k in ("n_linked_subj", "n_linked_obj", "n_negated"):
         assert 0 <= ext[k] <= ext["n_triples"]
+    assert ext["cascade_cpu_s"] > 0
 
 
 def test_parse_pool_sizing_needs_parser_cls(tmp_path):
