@@ -12,7 +12,11 @@ The fixture lists parses with the digest of their cascade outputs
   ``test_cascade_properties.random_parse``'s scheme (heads point left or at
   the root) over the POS gazetteer plus function words, half with heads
   drawn anywhere in the tree over a small vocabulary dense in the words the
-  rules test for (把/将/被, pivot prepositions, copulas, negators, modals).
+  rules test for (把/将/被, pivot prepositions, copulas, negators, modals);
+  then trees over a few words and deprels, where words repeat: negators, a
+  copula and a number (negators inside and outside a predicate's subtree,
+  numeric arguments at the stop-word filter), and a word with the reserved
+  ``·`` in ba/bei and double-object trees (interpunct stripping).
 
 The template grammar yields few tree shapes, so the random trees are what
 reach the rules' rarer branches.  Run it once on a commit whose outputs are
@@ -55,11 +59,17 @@ from test_extract_dedup import ADVERSARIAL_TURNS  # noqa: E402
 
 SEED = 20261019
 N_RANDOM = 3000
+N_NEGATION = 1000
+N_INTERPUNCT = 500
 DEPRELS = ["SBV", "VOB", "ATT", "ADV", "POB", "CMP", "COO", "MT", "VV",
            "DBL", "DOB", "F", "IC", "HED"]
 FUNCTION_WORDS = ["的", "了", "在", "把", "将", "被", "是", "。", "，"]
 TRIGGER_WORDS = FUNCTION_WORDS + ["与", "从", "于", "达", "也是", "不", "没有",
                                   "失败", "应该", "曾经", "过", "有", "他"]
+NEGATION_WORDS = ["张伟", "访问", "数据", "不", "没有", "失败", "是", "3.5"]
+NEGATION_DEPRELS = ["SBV", "VOB", "ATT", "ADV", "CMP", "COO"]
+INTERPUNCT_WORDS = ["张伟", "数据", "马克·吐温", "把", "被", "是"]
+INTERPUNCT_DEPRELS = ["SBV", "VOB", "DOB", "POB", "ATT", "COO"]
 
 
 def template_parses(turns: pa.Table) -> list[tuple]:
@@ -113,6 +123,17 @@ def random_parses(n: int, seed: int) -> list[tuple]:
     return out
 
 
+def small_parses(n: int, seed: int, vocab: list[str],
+                 labels: list[str]) -> list[tuple]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        words, heads = any_tree(rng, vocab)
+        deprels = ["HED" if h == 0 else rng.choice(labels) for h in heads]
+        out.append((tuple(words), tuple(heads), tuple(deprels)))
+    return out
+
+
 def main() -> None:
     sf_dir = transcripts_dir_for_sf("sf0.001")
     sf = pa.concat_tables(pq.read_table(f) for f in
@@ -126,7 +147,12 @@ def main() -> None:
     for source, items in (("golden", template_parses(golden_transcripts_table())),
                           ("sf0.001", template_parses(sf)),
                           ("adversarial", template_parses(adversarial)),
-                          ("random", random_parses(N_RANDOM, SEED))):
+                          ("random", random_parses(N_RANDOM, SEED)
+                           + small_parses(N_NEGATION, SEED + 1, NEGATION_WORDS,
+                                          NEGATION_DEPRELS)
+                           + small_parses(N_INTERPUNCT, SEED + 2,
+                                          INTERPUNCT_WORDS,
+                                          INTERPUNCT_DEPRELS))):
         for words, heads, deprels in items:
             if (words, heads, deprels) in seen:
                 continue
