@@ -43,7 +43,7 @@ class Parse:
     """
 
     __slots__ = ("words", "heads", "deprels", "children", "child_rels",
-                 "root", "_spans")
+                 "_spans")
 
     def __init__(self, ddp: dict):
         self.words: list[str] = list(ddp["word"])
@@ -52,14 +52,11 @@ class Parse:
         n = len(self.words)
         self.children = children = [[] for _ in range(n)]
         self.child_rels = child_rels = [[] for _ in range(n)]
-        self.root = 0
         for i in range(n):
             h = heads[i]
-            if h == 0:
-                self.root = i
-                continue
-            children[h - 1].append(i)
-            child_rels[h - 1].append(deprels[i])
+            if h:
+                children[h - 1].append(i)
+                child_rels[h - 1].append(deprels[i])
         self._spans: dict[int, str] = {}
 
     def parent(self, i: int) -> int:

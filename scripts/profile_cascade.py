@@ -28,6 +28,7 @@ import pyarrow.compute as pc  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
 from chinese_open_relation_extraction_for_entgraph_ray.stages.extract import (  # noqa: E402
+    _parse_keys,
     extract_linked,
 )
 from chinese_open_relation_extraction_for_entgraph_ray.stages.parse import (  # noqa: E402
@@ -47,11 +48,7 @@ def distinct_parses(transcripts_dir: str) -> pa.Table:
         pq.read_table(f, columns=["conv_id", "turn_idx", "text"]) for f in files)
     sents = explode_turns(turns).combine_chunks()
     parses = TemplateParserActor()(sents.take(first_rows(sents.column("text"))))
-    keys = pc.binary_join_element_wise(
-        pc.binary_join(parses.column("words"), "\x00"),
-        pc.binary_join(pc.cast(parses.column("heads"), pa.list_(pa.string())), ","),
-        pc.binary_join(parses.column("deprels"), ","), "|")
-    return parses.take(first_rows(keys))
+    return parses.take(first_rows(_parse_keys(parses)))
 
 
 def first_rows(values) -> pa.Array:
