@@ -14,11 +14,11 @@ instead of the single head word.
 
 Implementation style is array-based rather than the reference's two parallel
 class hierarchies: a :class:`Parse` holds each token's child list and the
-deprels of those children, and one traversal driver, with a ``coarse`` flag
+deprels of those children, and one traversal loop, with a ``coarse`` flag
 selecting argument rendering, emits the tuples.  One ``Parse`` serves a whole
 sentence: ``cascade.process_sentence`` builds it once and passes it to the
 fine and the coarse :func:`extract_tuples` and to argument coarsification,
-which share its subtree spans.  The driver dispatches by deprel: it calls a
+which share its subtree spans.  The loop dispatches by deprel: it calls a
 rule on a token only when the rule's trigger is there — the token's own label
 (``POB`` for ba/bei/pob, ``F``, ``IC``, ``HED``) or a child label (``SBV`` /
 ``VOB`` for svo, ``ADV``, ``ATT``, ``CMP``, ``DBL``, ``VV``, two ``DOB``) —
