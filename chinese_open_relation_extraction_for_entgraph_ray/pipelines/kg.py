@@ -6,28 +6,30 @@ transcripts.parquet
      | parser_cls            (actor-pool map_batches; warm model parser)
   -> extract_linked          (stateless map_batches; rule cascade +     [triples]
                               gazetteer linking once per distinct parse)
-  -> aggregate_edges         (combiner + auto_hash_aggregate)           [edges]
-  -> aggregate_entities      (mention explode + auto_hash_aggregate)    [entities]
+  -> aggregate_edges         (combiner + sorted_hash_aggregate)         [edges]
+  -> aggregate_entities      (mention combiner + sorted_hash_aggregate) [entities]
 
-Transcripts -> triples is ONE streaming execution in every mode.  With
-``checkpoints="all"`` a pass-through tee writes each block of the
-``sentences`` and ``parses`` streams into its stage dir as it flows by;
-the stages commit (a lineage manifest each, ``state/lineage.py``) in order
-when the execution ends.  A resumed run skips committed stages and starts
-that execution from the latest committed checkpoint, so ``parses`` doubles
-as the reference's ``--ready_ddp`` contract: downstream stages re-read it
-instead of re-parsing (dudepparse.py:1891-1897).
+Every stage a run has not yet committed is built as ONE Ray Data
+execution, from the latest committed checkpoint (the transcripts, or the
+dir of the last committed stage) to ``entities``.  A pass-through tee
+writes each block of every stage but the last into its stage dir as it
+flows by; ``write_parquet`` writes the last; the stages commit (a lineage
+manifest each, ``state/lineage.py``) in order when the execution ends, each
+manifest naming the stages that shared its execution and wall.  A resumed
+run skips committed stages, so ``parses`` doubles as the reference's
+``--ready_ddp`` contract: downstream stages re-read it instead of
+re-parsing (dudepparse.py:1891-1897).  Sharded builds run one execution
+per shard, then one for edges + entities over the committed shards.
 
 Scale notes (100 TB / multi-node):
 - the only all-to-all exchanges are the dedup sort of the sentence stream
-  and the two edge/entity group-bys.  Each coalesces its input to the
-  batch its consumer takes (the rule beside
-  ``groupagg.auto_hash_aggregate``'s coalescing), so its partition count
-  tracks rows, not input blocks: the dedup sort hashes
-  PARSE_BATCH_SIZE-row batches and the parse takes its output blocks
-  whole; the group-bys collapse combine_batch_size()-row batches to
-  distinct keys, so a hot key reaches their exchange at most once per
-  batch;
+  and the sorts of the two edge/entity group-bys.  The read yields one
+  block per PARSE_BATCH_SIZE turns (sized from the Parquet footers), so the
+  dedup sort's partition count tracks rows, not input files; each of its
+  output blocks is one parse -> extract task.
+  The edges combiner collapses each such block's triples to distinct keys
+  in the same task, and the entities combiner each sorted edges block, so
+  a hot key reaches each group-by sort at most once per block;
 - reads prune to the columns each stage needs;
 - everything else is embarrassingly parallel map_batches with streaming
   execution — no driver-side loops, no full materialization.
@@ -61,12 +63,37 @@ PARSE_CONCURRENCY = 4
 _STAGE_SCHEMAS = {"sentences": SENTENCES_SCHEMA, "parses": PARSES_SCHEMA,
                   "triples": LINKED_TRIPLES_SCHEMA, "edges": EDGES_SCHEMA,
                   "entities": ENTITIES_SCHEMA}
+# the group-by stages; their partition records (``n_exchange_rows``, the
+# rows their combiner passed to the sort) go to the top of their manifest
+_AGGREGATES = {"edges": aggregate_edges, "entities": aggregate_entities}
 
 
-def _read(path_or_dir, columns=None):
+def _read(path_or_dir, columns=None, **kwargs):
     import ray.data as rd
 
-    return rd.read_parquet(path_or_dir, columns=columns)
+    return rd.read_parquet(path_or_dir, columns=columns, **kwargs)
+
+
+def _read_turns(path_or_files, files: list[str]):
+    """The transcripts' turn columns as one read block per parse bundle.
+
+    A bundle is a run of whole files holding at least PARSE_BATCH_SIZE
+    turns (the last may hold fewer), counted from ``files``' Parquet
+    footers before the execution starts; the read asks for that many
+    blocks.  Each block then flows through explode and the dedup sort's
+    hash map as it is, so read tasks, sort input blocks and parse tasks
+    all follow the work, not the file count: a small corpus in many files
+    starts no read task, and no cold worker, beyond its bundles
+    (kg_staged: 8 read tasks became 1)."""
+    import pyarrow.parquet as pq
+
+    bundles = turns = 0
+    for f in files:
+        turns += pq.ParquetFile(f).metadata.num_rows
+        if turns >= PARSE_BATCH_SIZE:
+            bundles, turns = bundles + 1, 0
+    return _read(path_or_files, columns=["conv_id", "turn_idx", "text"],
+                 override_num_blocks=max(1, bundles + (turns > 0)))
 
 
 def _parse_pool_width(parse_num_gpus: float) -> int:
@@ -92,18 +119,28 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     """Run (or resume) the full pipeline; returns {stage: Dataset} handles of
     the materialized outputs plus run metadata under "_meta".
 
-    Both modes build transcripts -> sentences -> parses -> triples as ONE
-    streaming execution (the map stages pipeline through the object store
-    with no write/read barriers); edges and entities follow.
-    checkpoints="all": also checkpoint ``sentences`` and ``parses``, teed
-    out of that execution and committed, in order before ``triples``, when
-    it ends — finest resume granularity: a resumed run starts the
-    execution from the latest committed of transcripts, ``sentences`` and
-    ``parses``; ``parses`` doubles as the reference's ``--ready_ddp`` reuse
-    contract.
-    checkpoints="minimal": no tees; resume granularity becomes {triples,
-    edges, entities}.  It writes less; "all" suits long jobs where
-    re-parsing is the expensive part.
+    Both modes build every uncommitted stage, transcripts -> ... ->
+    entities, as ONE streaming execution (the map stages pipeline through
+    the object store with no write/read barriers; the two group-bys
+    aggregate inside the triples stream).  Every stage but the last is
+    teed out as it passes; all commit, in order, when the execution ends.
+    checkpoints="all": the chain is sentences, parses, triples, edges,
+    entities — finest resume granularity: a resumed run starts the
+    execution from the latest committed of them; ``parses`` doubles as the
+    reference's ``--ready_ddp`` reuse contract.
+    checkpoints="minimal": the chain is triples, edges, entities.  It
+    writes less; "all" suits long jobs where re-parsing is the expensive
+    part.  Trade-off: ``triples`` commits together with the group-bys, not
+    before them, so a build killed in the edges or entities sort restarts
+    from the transcripts; for long jobs the unit of recovery is
+    ``triples_shards``.
+
+    Group-bys: each combiner (a pyarrow ``group_by`` per block) runs as a
+    map inside the same execution — the edges one in the extract task of
+    each parse batch, the entities one over each sorted edges block — and
+    emits one row per distinct key, so a hot key reaches its sort at most
+    once per block.  The ``edges`` and ``entities`` manifests count those
+    rows as ``n_exchange_rows``.
 
     ``config``: an :class:`..functions.cascade.ExtractionConfig` — rule
     flags/caps (SURVEY.md §2.8); part of the checkpoint fingerprint, so
@@ -125,12 +162,13 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     outputs are identical either way (the sort only reorders rows).
 
     ``triples_shards`` (minimal mode only): >0 splits the transcripts files
-    into that many shard groups, each its own stage
+    into that many shard groups, each its own stage and execution
     ``triples/shard-<k>`` with its own lineage manifest — a preempted job
     resumes MID-STAGE, skipping finished shards (at 100 TB this is the unit
     of recovery; 0 = single streaming execution, fastest when the job is
     expected to finish in one go).  The ``triples`` manifest then sums the
-    shards' extraction records."""
+    shards' extraction records, and edges + entities are one execution
+    over the committed shards."""
     import time as _time
 
     from ..functions.cascade import DEFAULT_CONFIG
@@ -181,14 +219,24 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         t0 = _time.perf_counter()
         ds = make(todo)
         if ds is not None:
+            # Ray Data reserves each unfinished operator a share of the
+            # CPUs, at least one task's worth per map.  The sorts and maps
+            # behind the group-bys idle until the triples end, yet would
+            # hold their shares and leave extraction ONE task at a time on
+            # 4 CPUs (BASELINE.md "One execution per build").  Read tasks
+            # already follow the parse bundles (_read_turns), so nothing
+            # fans out needlessly without it.  This execution's context.
+            ds.context.op_resource_reservation_enabled = False
             ds.write_parquet(store.stage_dir(todo[-1]), mode="overwrite")
         wall = round(_time.perf_counter() - t0, 3)
         for name in todo:
             timings[name] = wall
             manifest = store.commit_stage(
-                name, f"{fp}:{name}", metrics={"wall_sec": wall,
-                                               **(metrics or {})},
-                schema=_STAGE_SCHEMAS[name.split("/")[0]])
+                name, f"{fp}:{name}",
+                metrics={"wall_sec": wall, "execution_stages": todo,
+                         **(metrics or {})},
+                schema=_STAGE_SCHEMAS[name.split("/")[0]],
+                records_key=None if name in _AGGREGATES else "extraction")
             fp = f"{fp}:{name}@{manifest['completed_at']}"
             ran.append(name)
         return fp
@@ -202,11 +250,13 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         distinct-parse dedup collapse every duplicate regardless of worker
         count.
 
-        The hash map coalesces the stream to PARSE_BATCH_SIZE-row bundles
-        (Ray fuses it with ``explode_turns``, so a bundle counts turns):
-        the sort sees about turns / PARSE_BATCH_SIZE blocks, not one per
-        read task, and each of its output blocks is one parse batch.
-        Measured cost (BASELINE.md, "Dedup-sort exchange"; fresh 4-CPU
+        The hash map takes each incoming block whole: a cold build's read
+        already yields one block per PARSE_BATCH_SIZE turns
+        (:func:`_read_turns`), and a resume reads the committed
+        ``sentences`` parts that those blocks wrote.  So the sort sees
+        about turns / PARSE_BATCH_SIZE blocks, not one per input file, and
+        each of its output blocks is one parse batch.  Measured cost of
+        the alternative (BASELINE.md, "Dedup-sort exchange"; fresh 4-CPU
         session on a 4-vCPU Xeon, ``kg_repeat``): fed one block per read
         task (8), the sort and the tasks around it cost 6.8 CPU-s per
         build and started 3 Ray worker processes; coalesced (2 blocks),
@@ -233,25 +283,26 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         def drop_hash(batch: "_pa.Table") -> "_pa.Table":
             return batch.drop_columns(["__th"])
 
-        return src.map_batches(add_hash, batch_format="pyarrow",
-                               batch_size=PARSE_BATCH_SIZE) \
+        return src.map_batches(add_hash, batch_format="pyarrow") \
                   .sort("__th") \
                   .map_batches(drop_hash, batch_format="pyarrow")
 
     def _parses(src):
-        batch_size = PARSE_BATCH_SIZE
+        # every block is already a parse batch — a read block of about
+        # PARSE_BATCH_SIZE turns, or one output block of the dedup sort:
+        # one parse task per block, so they set the parse task and file
+        # counts
         if dedup_sort:
-            # the sort's output blocks are already parse batches: one parse
-            # task per block, so they set the parse task and file counts
-            src, batch_size = _dedup_sort(src), None
+            src = _dedup_sort(src)
         if parser_cls is None:
-            return src.map_batches(template_parse, batch_format="pyarrow",
-                                   batch_size=batch_size)
+            return src.map_batches(template_parse, batch_format="pyarrow")
         # a model-backed parser actor (e.g. stages.parse.DDParserActor) sets
-        # fractional num_gpus here (ST3, SURVEY.md §2.4)
+        # fractional num_gpus here (ST3, SURVEY.md §2.4); Ray wants a batch
+        # size with GPUs, which the unsorted plan gives it
         kwargs = {"num_gpus": parse_num_gpus} if parse_num_gpus else {}
         return src.map_batches(
-            parser_cls, batch_format="pyarrow", batch_size=batch_size,
+            parser_cls, batch_format="pyarrow",
+            batch_size=None if dedup_sort else PARSE_BATCH_SIZE,
             concurrency=_parse_pool_width(parse_num_gpus), **kwargs)
 
     def _triples(src, metrics_stage: str):
@@ -284,8 +335,6 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
 
         return src.map_batches(extract_with_config, batch_format="pyarrow")
 
-    transcripts_cols = ["conv_id", "turn_idx", "text"]
-
     def _tee(src, name: str):
         """Pass every block through unchanged, writing it into ``name``'s
         dir as one Parquet part: the stage's checkpoint, built without an
@@ -299,37 +348,44 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
 
         return src.map_batches(tee, batch_format="pyarrow")
 
-    def _fused_triples(sink: str, files=transcripts_dir,
-                       start: str = "sentences", tees=()):
-        """read -> explode_turns -> parse -> extract_with_config -> write to
-        ``sink``: one streaming execution with no intermediate barriers.
-        ``start`` is the first stage it builds (a later start reads the
-        committed ``sentences`` or ``parses`` dir instead of the
-        transcripts); each stage in ``tees`` is also written to its own
-        dir as it passes."""
-        if start == "sentences":
-            ds = _sentences(_read(files, columns=transcripts_cols))
-        else:
-            ds = _read(store.stage_dir(
-                "sentences" if start == "parses" else "parses"))
-        if "sentences" in tees:
-            ds = _tee(ds, "sentences")
-        if start != "triples":
-            ds = _parses(ds)
-        if "parses" in tees:
-            ds = _tee(ds, "parses")
-        return _triples(ds, sink)
+    def _chain(names: list[str], steps: dict, source):
+        """``make`` for :func:`stage` over ``names``: ONE plan from the
+        latest committed checkpoint — ``source()`` when ``names[0]`` is
+        uncommitted, else the dir of the stage before ``todo[0]`` — through
+        ``steps[name]`` for each stage of ``todo``, teeing every stage but
+        the last, which ``stage()`` writes."""
+        def make(todo):
+            k = names.index(todo[0])
+            ds = source() if k == 0 else _read(store.stage_dir(names[k - 1]))
+            for name in todo:
+                ds = steps[name](ds)
+                if name != todo[-1]:
+                    ds = _tee(ds, name)
+            return ds
 
-    if checkpoints == "all":
-        # the minimal plan from the latest committed checkpoint, teeing the
-        # stages it passes; they commit when the one execution ends
-        fp = stage(["sentences", "parses", "triples"],
-                   lambda todo: _fused_triples("triples", start=todo[0],
-                                               tees=todo[:-1]),
-                   base_fp)
-    elif not triples_shards:
-        fp = stage(["triples"], lambda _: _fused_triples("triples"),
-                   f"{base_fp}:fused")
+        return make
+
+    def _fused_triples(ds, name: str = "triples"):
+        """explode_turns -> parse -> extract: transcripts to triples with no
+        intermediate barrier, the ``minimal`` plan of one stage."""
+        return _triples(_parses(_sentences(ds)), name)
+
+    aggregates = {name: lambda ds, f=f, name=name: f(
+        ds, metrics_dir=store.metrics_dir(name))
+        for name, f in _AGGREGATES.items()}
+    if not triples_shards:
+        if checkpoints == "all":
+            names = ["sentences", "parses", "triples", "edges", "entities"]
+            steps = {"sentences": _sentences, "parses": _parses,
+                     "triples": lambda ds: _triples(ds, "triples")}
+            fp = base_fp
+        else:
+            names = ["triples", "edges", "entities"]
+            steps = {"triples": _fused_triples}
+            fp = f"{base_fp}:fused"
+        stage(names, _chain(names, {**steps, **aggregates},
+                            lambda: _read_turns(transcripts_dir, in_files)),
+              fp)
     else:
         # one stage per shard group -> mid-stage resume; the triples commit
         # chains through every shard's commit record
@@ -340,7 +396,8 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
             if files:
                 name = f"triples/shard-{k:04d}"
                 shards[name] = stage(
-                    [name], lambda _, f=files, n=name: _fused_triples(n, f),
+                    [name], lambda _, f=files, n=name: _fused_triples(
+                        _read_turns(f, f), n),
                     f"{fp_base}:{fingerprint_paths(files)}")
         extraction: dict = {}
         for name in shards:
@@ -365,16 +422,10 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                    + fingerprint_paths([], extra="|".join(shards.values())),
                    metrics={"shards": triples_shards,
                             "extraction": extraction})
-
-    edges_fp = stage(
-        ["edges"],
-        lambda _: aggregate_edges(_read(store.stage_dir("triples"))),
-        fp)
-
-    stage(
-        ["entities"],
-        lambda _: aggregate_entities(_read(store.stage_dir("edges"))),
-        edges_fp)
+        # edges and entities: one execution over the committed shards
+        names = ["edges", "entities"]
+        stage(names, _chain(names, aggregates,
+                            lambda: _read(store.stage_dir("triples"))), fp)
 
     out = {
         "triples": _read(store.stage_dir("triples")),

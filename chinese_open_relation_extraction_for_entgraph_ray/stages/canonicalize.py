@@ -8,11 +8,18 @@ rule requires:
 - mention -> entity linking via a broadcast-style gazetteer lookup (static
   alias map shipped with the code; a large gazetteer would be ``ray.put`` once
   and fetched in ``__init__``), with containment fallback for coarse spans;
-- (subj, pred, obj) triple dedup and entity materialization, both thin
-  callers of :func:`..groupagg.auto_hash_aggregate` — the one group-aggregate
-  plan, which coalesces the stream before its exchange so a hot key (e.g. a
-  copular predicate over a celebrity entity) reaches it at most once per
-  ~combine_batch_size() rows.
+- (subj, pred, obj) triple dedup and entity materialization, each a
+  per-block combiner followed by :func:`..groupagg.sorted_hash_aggregate`.
+  The combiner emits one row per distinct key of its block, so a hot key
+  (e.g. a copular predicate over a celebrity entity) reaches the sort at
+  most once per input block.  Neither materializes or counts its partials,
+  so both run inside the caller's execution: ``pipelines/kg.py`` builds
+  triples, edges and entities as one, where a triples block is one parse
+  batch (the dedup sort already coalesced it) and the edges combiner runs
+  in the same task as its extraction.  ``auto_hash_aggregate``'s
+  coalescing pre-combine and its count-dispatched small tier are not used
+  here: a combiner batch larger than a block would make Ray fuse its
+  bundling into the extract tasks and run the whole corpus as one task.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.lexicon import ENTITY_ALIASES, NER_GAZETTEER
-from .groupagg import auto_hash_aggregate, combine_batch_size
+from .groupagg import sorted_hash_aggregate
 
 # rel kinds that become edges
 EDGE_KINDS = ("fine", "amend_fine")
@@ -95,26 +102,38 @@ def partial_edge_counts(batch: pa.Table) -> pa.Table:
         names=_PARTIAL_SCHEMA.names)
 
 
-def aggregate_edges(triples_ds):
+def _count_exchange_rows(metrics_dir: str | None, partials: pa.Table) -> None:
+    """Record how many rows one combiner block passes to the sort, as the
+    partition record ``{"n_exchange_rows": n}`` in ``metrics_dir``."""
+    if metrics_dir is not None:
+        from ..state.lineage import emit_partition_metrics
+
+        emit_partition_metrics(metrics_dir,
+                               {"n_exchange_rows": partials.num_rows})
+
+
+def aggregate_edges(triples_ds, metrics_dir: str | None = None):
     """triples Dataset -> canonical edges Dataset (``EDGE_KINDS`` triples).
 
     A map-side combiner (:func:`partial_edge_counts`, pyarrow ``group_by``
-    on the surfaces) collapses each batch to one row per distinct triple,
-    then :func:`..groupagg.auto_hash_aggregate` sums the partial weights.
-    Keys are the triple surfaces (null -> ``""``); entity ids ride along
-    (functions of the key); provenance via ``min``."""
+    on the surfaces) collapses each input block to one row per distinct
+    triple, then :func:`..groupagg.sorted_hash_aggregate` sums the partial
+    weights.  Keys are the triple surfaces (null -> ``""``); entity ids
+    ride along (functions of the key); provenance via ``min``.  With
+    ``metrics_dir`` each combiner block records its output rows
+    (``n_exchange_rows``)."""
     kinds = pa.array(EDGE_KINDS)
 
     def filtered_partials(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_in(batch.column("rel_kind"),
                                       value_set=kinds))
-        return partial_edge_counts(batch)
+        out = partial_edge_counts(batch)
+        _count_exchange_rows(metrics_dir, out)
+        return out
 
-    partials = triples_ds.map_batches(filtered_partials,
-                                      batch_format="pyarrow",
-                                      batch_size=combine_batch_size())
-    return auto_hash_aggregate(
-        partials, EDGE_KEYS, [("weight", "sum"), ("sample_conv_id", "min"),
+    return sorted_hash_aggregate(
+        triples_ds.map_batches(filtered_partials, batch_format="pyarrow"),
+        EDGE_KEYS, [("weight", "sum"), ("sample_conv_id", "min"),
                               ("sample_turn_idx", "min")])
 
 
@@ -131,8 +150,22 @@ def explode_mentions(edges: pa.Table) -> pa.Table:
         names=["entity_id", "mention_count"])
 
 
-def aggregate_entities(edges_ds):
-    """Edges -> entity table: canonical surface + total mention weight."""
-    return auto_hash_aggregate(
-        edges_ds.map_batches(explode_mentions, batch_format="pyarrow"),
+def aggregate_entities(edges_ds, metrics_dir: str | None = None):
+    """Edges -> entity table: canonical surface + total mention weight.
+
+    Each edges block is exploded to mentions and collapsed by a pyarrow
+    ``group_by`` to one row per entity (the combiner), then
+    :func:`..groupagg.sorted_hash_aggregate` sums the partial counts.
+    ``metrics_dir`` as in :func:`aggregate_edges`."""
+    def mention_partials(edges: pa.Table) -> pa.Table:
+        agg = explode_mentions(edges).group_by("entity_id").aggregate(
+            [("mention_count", "sum")])
+        out = pa.Table.from_arrays(
+            [agg.column("entity_id"), agg.column("mention_count_sum")],
+            schema=ENTITIES_SCHEMA)
+        _count_exchange_rows(metrics_dir, out)
+        return out
+
+    return sorted_hash_aggregate(
+        edges_ds.map_batches(mention_partials, batch_format="pyarrow"),
         ["entity_id"], [("mention_count", "sum")])

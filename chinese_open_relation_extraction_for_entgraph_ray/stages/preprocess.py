@@ -25,11 +25,20 @@ SENTENCES_SCHEMA = pa.schema([
 ])
 
 
+def _pylist(col) -> list:
+    """A column's values as Python objects, through numpy: ~5x cheaper than
+    ``to_pylist`` on this stage's columns.  An integer column with nulls
+    keeps ``to_pylist``, where numpy would turn its nulls into NaN floats."""
+    if col.null_count and not pa.types.is_string(col.type):
+        return col.to_pylist()
+    return col.to_numpy(zero_copy_only=False).tolist()
+
+
 def explode_turns(batch: pa.Table) -> pa.Table:
     """One turn row -> N sentence rows (order-preserving within the batch)."""
-    conv_ids = batch.column("conv_id").to_pylist()
-    turn_idxs = batch.column("turn_idx").to_pylist()
-    texts = batch.column("text").to_pylist()
+    conv_ids = _pylist(batch.column("conv_id"))
+    turn_idxs = _pylist(batch.column("turn_idx"))
+    texts = _pylist(batch.column("text"))
 
     out_conv: list[str] = []
     out_turn: list[int] = []

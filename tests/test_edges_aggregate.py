@@ -1,6 +1,6 @@
-"""aggregate_edges / aggregate_entities through the one group-aggregate:
-a planted hot key against a single-process group-by on both dispatch sides,
-and the coalescing of many small blocks before the exchange."""
+"""aggregate_edges / aggregate_entities (combiner -> sorted_hash_aggregate):
+a planted hot key against a single-process group-by, and the coalescing of
+many small blocks before ``auto_hash_aggregate``'s exchange."""
 
 import math
 import random
@@ -72,12 +72,10 @@ def _entities_reference(edges: list[tuple]) -> list[tuple]:
     return sorted(total.items())
 
 
-@pytest.mark.parametrize("small_partials", [groupagg.AUTO_SMALL_PARTIALS, 0])
-def test_hot_key_edges_match_reference(ray_session, monkeypatch,
-                                       small_partials):
+def test_hot_key_edges_match_reference(ray_session, monkeypatch):
     """Half of the fine rows carry one key; edges and entities equal the
-    single-process group-by on the no-sort path and on the sorted-block
-    path."""
+    single-process group-by on the one sorted path, and the hot key reaches
+    the edges sort from several input blocks — at most once per block."""
     import ray.data as rd
 
     blocks = _triples()
@@ -91,21 +89,23 @@ def test_hot_key_edges_match_reference(ray_session, monkeypatch,
     real = groupagg.sorted_hash_aggregate
 
     def spy(ds, key_cols, agg_spec):
-        exchanges.append(list(key_cols))
+        ds = ds.materialize()
+        exchanges.append((list(key_cols), ds.take_all()))
         return real(ds, key_cols, agg_spec)
 
-    monkeypatch.setattr(groupagg, "sorted_hash_aggregate", spy)
-    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", small_partials)
-    # small batches: the hot key reaches the exchange from several blocks
-    monkeypatch.setattr(groupagg, "combine_batch_size", lambda: 100)
-    monkeypatch.setattr(canonicalize, "combine_batch_size", lambda: 100)
+    monkeypatch.setattr(canonicalize, "sorted_hash_aggregate", spy)
     edges = canonicalize.aggregate_edges(rd.from_arrow(blocks)).materialize()
     assert _edges(edges) == ref
     entities = sorted((r["entity_id"], r["mention_count"]) for r in
                       canonicalize.aggregate_entities(edges).take_all())
     assert entities == _entities_reference(ref)
-    assert exchanges == ([] if small_partials else
-                         [canonicalize.EDGE_KEYS, ["entity_id"]])
+    assert [keys for keys, _ in exchanges] == [canonicalize.EDGE_KEYS,
+                                               ["entity_id"]]
+    hot_partials = [r for r in exchanges[0][1]
+                    if tuple(r[c] for c in canonicalize.EDGE_KEYS)
+                    == hot[0][:5]]
+    assert 1 < len(hot_partials) <= N_BLOCKS
+    assert sum(r["weight"] for r in hot_partials) == hot[0][5]
 
 
 def test_many_small_blocks_are_coalesced_before_the_exchange(ray_session,
