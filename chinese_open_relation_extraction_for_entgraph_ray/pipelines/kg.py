@@ -24,9 +24,9 @@ per shard, then one for edges + entities over the committed shards.
 Scale notes (100 TB / multi-node):
 - the only all-to-all exchanges are the dedup sort of the sentence stream
   and the sorts of the two edge/entity group-bys.  The read yields one
-  block per PARSE_BATCH_SIZE turns (sized from the Parquet footers), so the
-  dedup sort's partition count tracks rows, not input files; each of its
-  output blocks is one parse -> extract task.
+  block per parse bundle of about PARSE_BATCH_SIZE turns (counted from the
+  Parquet footers), so the dedup sort's partition count tracks rows, not
+  input files; each of its output blocks is one parse -> extract task.
   The edges combiner collapses each such block's triples to distinct keys
   in the same task, and the entities combiner each sorted edges block, so
   a hot key reaches each group-by sort at most once per block;
@@ -83,8 +83,8 @@ def _read_turns(path_or_files, files: list[str]):
     blocks.  Each block then flows through explode and the dedup sort's
     hash map as it is, so read tasks, sort input blocks and parse tasks
     all follow the work, not the file count: a small corpus in many files
-    starts no read task, and no cold worker, beyond its bundles
-    (kg_staged: 8 read tasks became 1)."""
+    starts no read task, and no cold worker, beyond its bundles (kg_staged:
+    8 files, 3,000 turns, one read task)."""
     import pyarrow.parquet as pq
 
     bundles = turns = 0
@@ -225,7 +225,8 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
             # hold their shares and leave extraction ONE task at a time on
             # 4 CPUs (BASELINE.md "One execution per build").  Read tasks
             # already follow the parse bundles (_read_turns), so nothing
-            # fans out needlessly without it.  This execution's context.
+            # fans out needlessly without it.  Set on this Dataset's own
+            # context, not the process-wide one.
             ds.context.op_resource_reservation_enabled = False
             ds.write_parquet(store.stage_dir(todo[-1]), mode="overwrite")
         wall = round(_time.perf_counter() - t0, 3)
@@ -370,8 +371,10 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         intermediate barrier, the ``minimal`` plan of one stage."""
         return _triples(_parses(_sentences(ds)), name)
 
+    # per_block: a triples block is one parse batch, and the edges
+    # combiner runs in its extract task (stages/canonicalize.py)
     aggregates = {name: lambda ds, f=f, name=name: f(
-        ds, metrics_dir=store.metrics_dir(name))
+        ds, metrics_dir=store.metrics_dir(name), per_block=True)
         for name, f in _AGGREGATES.items()}
     if not triples_shards:
         if checkpoints == "all":

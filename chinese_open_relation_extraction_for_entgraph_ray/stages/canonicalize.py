@@ -9,17 +9,20 @@ rule requires:
   alias map shipped with the code; a large gazetteer would be ``ray.put`` once
   and fetched in ``__init__``), with containment fallback for coarse spans;
 - (subj, pred, obj) triple dedup and entity materialization, each a
-  per-block combiner followed by :func:`..groupagg.sorted_hash_aggregate`.
-  The combiner emits one row per distinct key of its block, so a hot key
-  (e.g. a copular predicate over a celebrity entity) reaches the sort at
-  most once per input block.  Neither materializes or counts its partials,
-  so both run inside the caller's execution: ``pipelines/kg.py`` builds
-  triples, edges and entities as one, where a triples block is one parse
-  batch (the dedup sort already coalesced it) and the edges combiner runs
-  in the same task as its extraction.  ``auto_hash_aggregate``'s
-  coalescing pre-combine and its count-dispatched small tier are not used
-  here: a combiner batch larger than a block would make Ray fuse its
-  bundling into the extract tasks and run the whole corpus as one task.
+  combiner followed by :func:`..groupagg.sorted_hash_aggregate`.  The
+  combiner emits one row per distinct key of its batch, so a hot key (e.g.
+  a copular predicate over a celebrity entity) reaches the sort at most
+  once per batch.  By default a batch is ~combine_batch_size() rows, which
+  also coalesces a fragmented input before the sort (600 one-block inputs
+  sort as a few blocks, not 600).  ``per_block=True`` takes each block as
+  its batch, for a caller whose blocks are already batches:
+  ``pipelines/kg.py`` builds triples, edges and entities as one execution,
+  where a triples block is one parse batch and the edges combiner runs in
+  the same task as its extraction — a larger batch would make Ray fuse its
+  bundling into the extract tasks and extract the corpus as one task.
+  Neither materializes or counts its partials, so both run inside the
+  caller's execution; ``auto_hash_aggregate``'s second pre-combine and its
+  count-dispatched small tier are not used here.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.lexicon import ENTITY_ALIASES, NER_GAZETTEER
-from .groupagg import sorted_hash_aggregate
+from .groupagg import combine_batch_size, sorted_hash_aggregate
 
 # rel kinds that become edges
 EDGE_KINDS = ("fine", "amend_fine")
@@ -103,7 +106,7 @@ def partial_edge_counts(batch: pa.Table) -> pa.Table:
 
 
 def _count_exchange_rows(metrics_dir: str | None, partials: pa.Table) -> None:
-    """Record how many rows one combiner block passes to the sort, as the
+    """Record how many rows one combiner batch passes to the sort, as the
     partition record ``{"n_exchange_rows": n}`` in ``metrics_dir``."""
     if metrics_dir is not None:
         from ..state.lineage import emit_partition_metrics
@@ -112,16 +115,30 @@ def _count_exchange_rows(metrics_dir: str | None, partials: pa.Table) -> None:
                                {"n_exchange_rows": partials.num_rows})
 
 
-def aggregate_edges(triples_ds, metrics_dir: str | None = None):
+def _batch_size(per_block: bool) -> int | None:
+    return None if per_block else combine_batch_size()
+
+
+def _unreserved(ds):
+    """``ds`` with Ray Data's per-operator resource reservation off on its
+    own context: the maps behind the sort idle until it ends, yet would
+    hold a CPU share each and leave the combiner about one task at a time
+    (BASELINE.md "One execution per build")."""
+    ds.context.op_resource_reservation_enabled = False
+    return ds
+
+
+def aggregate_edges(triples_ds, metrics_dir: str | None = None,
+                    per_block: bool = False):
     """triples Dataset -> canonical edges Dataset (``EDGE_KINDS`` triples).
 
     A map-side combiner (:func:`partial_edge_counts`, pyarrow ``group_by``
-    on the surfaces) collapses each input block to one row per distinct
-    triple, then :func:`..groupagg.sorted_hash_aggregate` sums the partial
-    weights.  Keys are the triple surfaces (null -> ``""``); entity ids
-    ride along (functions of the key); provenance via ``min``.  With
-    ``metrics_dir`` each combiner block records its output rows
-    (``n_exchange_rows``)."""
+    on the surfaces) collapses each batch (module docstring) to one row
+    per distinct triple, then :func:`..groupagg.sorted_hash_aggregate`
+    sums the partial weights.  Keys are the triple surfaces (null ->
+    ``""``); entity ids ride along (functions of the key); provenance via
+    ``min``.  With ``metrics_dir`` each combiner batch records its output
+    rows (``n_exchange_rows``)."""
     kinds = pa.array(EDGE_KINDS)
 
     def filtered_partials(batch: pa.Table) -> pa.Table:
@@ -131,10 +148,12 @@ def aggregate_edges(triples_ds, metrics_dir: str | None = None):
         _count_exchange_rows(metrics_dir, out)
         return out
 
-    return sorted_hash_aggregate(
-        triples_ds.map_batches(filtered_partials, batch_format="pyarrow"),
-        EDGE_KEYS, [("weight", "sum"), ("sample_conv_id", "min"),
-                              ("sample_turn_idx", "min")])
+    return _unreserved(sorted_hash_aggregate(
+        triples_ds.map_batches(filtered_partials, batch_format="pyarrow",
+                               batch_size=_batch_size(per_block)),
+        EDGE_KEYS,
+        [("weight", "sum"), ("sample_conv_id", "min"),
+         ("sample_turn_idx", "min")]))
 
 
 def explode_mentions(edges: pa.Table) -> pa.Table:
@@ -150,13 +169,14 @@ def explode_mentions(edges: pa.Table) -> pa.Table:
         names=["entity_id", "mention_count"])
 
 
-def aggregate_entities(edges_ds, metrics_dir: str | None = None):
+def aggregate_entities(edges_ds, metrics_dir: str | None = None,
+                       per_block: bool = False):
     """Edges -> entity table: canonical surface + total mention weight.
 
-    Each edges block is exploded to mentions and collapsed by a pyarrow
+    Each batch of edges is exploded to mentions and collapsed by a pyarrow
     ``group_by`` to one row per entity (the combiner), then
     :func:`..groupagg.sorted_hash_aggregate` sums the partial counts.
-    ``metrics_dir`` as in :func:`aggregate_edges`."""
+    ``metrics_dir`` and ``per_block`` as in :func:`aggregate_edges`."""
     def mention_partials(edges: pa.Table) -> pa.Table:
         agg = explode_mentions(edges).group_by("entity_id").aggregate(
             [("mention_count", "sum")])
@@ -166,6 +186,7 @@ def aggregate_entities(edges_ds, metrics_dir: str | None = None):
         _count_exchange_rows(metrics_dir, out)
         return out
 
-    return sorted_hash_aggregate(
-        edges_ds.map_batches(mention_partials, batch_format="pyarrow"),
-        ["entity_id"], [("mention_count", "sum")])
+    return _unreserved(sorted_hash_aggregate(
+        edges_ds.map_batches(mention_partials, batch_format="pyarrow",
+                             batch_size=_batch_size(per_block)),
+        ["entity_id"], [("mention_count", "sum")]))

@@ -73,7 +73,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:,.0f}" if abs(x) >= 100 else f"{x:.3g}"
+    return f"{x:,.0f}" if abs(x) >= 100 else f"{x:.2f}"
 
 
 def _spread(xs: list[float]) -> str:
