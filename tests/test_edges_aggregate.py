@@ -72,11 +72,15 @@ def _entities_reference(edges: list[tuple]) -> list[tuple]:
     return sorted(total.items())
 
 
-def test_hot_key_edges_match_reference(ray_session, monkeypatch):
+@pytest.mark.parametrize("small_partials", [groupagg.AUTO_SMALL_PARTIALS, 0])
+def test_hot_key_edges_match_reference(ray_session, monkeypatch,
+                                       small_partials):
     """Half of the fine rows carry one key; edges and entities equal the
     single-process group-by on the one sorted path, and the hot key reaches
     the edges sort from several combiner batches — at most once per
-    batch."""
+    batch. ``auto_hash_aggregate``'s small-partials threshold does not
+    route either aggregate off that path (it would count, i.e. execute,
+    the stream mid-build)."""
     import ray.data as rd
 
     blocks = _triples()
@@ -95,6 +99,7 @@ def test_hot_key_edges_match_reference(ray_session, monkeypatch):
         return real(ds, key_cols, agg_spec)
 
     monkeypatch.setattr(canonicalize, "sorted_hash_aggregate", spy)
+    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", small_partials)
     # small batches: the hot key reaches the exchange from several of them
     monkeypatch.setattr(canonicalize, "combine_batch_size", lambda: 100)
     edges = canonicalize.aggregate_edges(rd.from_arrow(blocks)).materialize()
