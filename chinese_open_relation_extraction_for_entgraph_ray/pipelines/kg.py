@@ -23,13 +23,15 @@ per shard, then one for edges + entities over the committed shards.
 
 Scale notes (100 TB / multi-node):
 - the only all-to-all exchanges are the dedup sort of the sentence stream
-  and the sorts of the two edge/entity group-bys.  The read yields one
-  block per parse bundle of about PARSE_BATCH_SIZE turns (counted from the
-  Parquet footers), so the dedup sort's partition count tracks rows, not
-  input files; each of its output blocks is one parse -> extract task.
-  The edges combiner collapses each such block's triples to distinct keys
-  in the same task, and the entities combiner each sorted edges block, so
-  a hot key reaches each group-by sort at most once per block;
+  and the sorts of the two edge/entity group-bys.  Each sort has as many
+  partitions as it has input blocks.  The read yields about one block
+  per PARSE_BATCH_SIZE turns, a large file split into several (counted
+  from the Parquet footers, :func:`_read_turns`), so the dedup sort's
+  partition count tracks turns, not input files; each of its output
+  blocks is one parse -> extract task.  The edges combiner collapses each
+  such block's triples to distinct keys in the same task, and the
+  entities combiner each sorted edges block, so a hot key reaches each
+  group-by sort at most once per block;
 - reads prune to the columns each stage needs;
 - everything else is embarrassingly parallel map_batches with streaming
   execution — no driver-side loops, no full materialization.
@@ -63,9 +65,6 @@ PARSE_CONCURRENCY = 4
 _STAGE_SCHEMAS = {"sentences": SENTENCES_SCHEMA, "parses": PARSES_SCHEMA,
                   "triples": LINKED_TRIPLES_SCHEMA, "edges": EDGES_SCHEMA,
                   "entities": ENTITIES_SCHEMA}
-# the group-by stages; their partition records (``n_exchange_rows``, the
-# rows their combiner passed to the sort) go to the top of their manifest
-_AGGREGATES = {"edges": aggregate_edges, "entities": aggregate_entities}
 
 
 def _read(path_or_dir, columns=None, **kwargs):
@@ -75,25 +74,37 @@ def _read(path_or_dir, columns=None, **kwargs):
 
 
 def _read_turns(path_or_files, files: list[str]):
-    """The transcripts' turn columns as one read block per parse bundle.
+    """The transcripts' turn columns, read as about one block per
+    PARSE_BATCH_SIZE turns.
 
-    A bundle is a run of whole files holding at least PARSE_BATCH_SIZE
-    turns (the last may hold fewer), counted from ``files``' Parquet
-    footers before the execution starts; the read asks for that many
-    blocks.  Each block then flows through explode and the dedup sort's
-    hash map as it is, so read tasks, sort input blocks and parse tasks
-    all follow the work, not the file count: a small corpus in many files
-    starts no read task, and no cold worker, beyond its bundles (kg_staged:
-    8 files, 3,000 turns, one read task)."""
+    Each block flows through explode and the dedup sort's hash map as it
+    is, and the sort has one partition per input block (each holding an
+    even share of the hashed sentences), so the read's block count sets
+    the sort partition and parse task counts.  It is the number of
+    bundles: runs of whole files holding at least PARSE_BATCH_SIZE turns
+    (the last may hold fewer), a run of ``m`` turns counting ``m //
+    PARSE_BATCH_SIZE``, so a large file counts once per PARSE_BATCH_SIZE
+    turns.  Turns are counted from ``files``' Parquet footers before the
+    execution starts.  A small corpus in many files starts no read task,
+    and no cold worker, beyond its bundles (kg_staged: 8 files, 3,000
+    turns, one read task).
+
+    Ray Data reads ``override_num_blocks=n`` as ``n`` read tasks over runs
+    of equally many whole files when ``n`` <= files, else as one task per
+    file, each splitting its output into ceil(n / files) equal blocks.  So
+    the count tracks turns, but with uneven files a read block is not one
+    bundle and can hold more than PARSE_BATCH_SIZE turns; the dedup sort
+    evens the parse batches out, the unsorted plan parses such blocks
+    whole."""
     import pyarrow.parquet as pq
 
-    bundles = turns = 0
+    n = turns = 0
     for f in files:
         turns += pq.ParquetFile(f).metadata.num_rows
         if turns >= PARSE_BATCH_SIZE:
-            bundles, turns = bundles + 1, 0
+            n, turns = n + turns // PARSE_BATCH_SIZE, 0
     return _read(path_or_files, columns=["conv_id", "turn_idx", "text"],
-                 override_num_blocks=max(1, bundles + (turns > 0)))
+                 override_num_blocks=max(1, n + (turns > 0)))
 
 
 def _parse_pool_width(parse_num_gpus: float) -> int:
@@ -140,7 +151,8 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
     each parse batch, the entities one over each sorted edges block — and
     emits one row per distinct key, so a hot key reaches its sort at most
     once per block.  The ``edges`` and ``entities`` manifests count those
-    rows as ``n_exchange_rows``.
+    rows as ``metrics.extraction.n_exchange_rows`` (``extraction`` holds
+    every stage's merged partition records).
 
     ``config``: an :class:`..functions.cascade.ExtractionConfig` — rule
     flags/caps (SURVEY.md §2.8); part of the checkpoint fingerprint, so
@@ -225,8 +237,10 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
             # hold their shares and leave extraction ONE task at a time on
             # 4 CPUs (BASELINE.md "One execution per build").  Read tasks
             # already follow the parse bundles (_read_turns), so nothing
-            # fans out needlessly without it.  Set on this Dataset's own
-            # context, not the process-wide one.
+            # fans out needlessly without it.  Every Dataset of the plan
+            # shares this context (each derived Dataset gets its parent's),
+            # so this covers the whole execution; the process-wide context
+            # and the Datasets build_kg returns keep the default.
             ds.context.op_resource_reservation_enabled = False
             ds.write_parquet(store.stage_dir(todo[-1]), mode="overwrite")
         wall = round(_time.perf_counter() - t0, 3)
@@ -236,8 +250,7 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
                 name, f"{fp}:{name}",
                 metrics={"wall_sec": wall, "execution_stages": todo,
                          **(metrics or {})},
-                schema=_STAGE_SCHEMAS[name.split("/")[0]],
-                records_key=None if name in _AGGREGATES else "extraction")
+                schema=_STAGE_SCHEMAS[name.split("/")[0]])
             fp = f"{fp}:{name}@{manifest['completed_at']}"
             ran.append(name)
         return fp
@@ -252,11 +265,11 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         count.
 
         The hash map takes each incoming block whole: a cold build's read
-        already yields one block per PARSE_BATCH_SIZE turns
+        already yields about one block per PARSE_BATCH_SIZE turns
         (:func:`_read_turns`), and a resume reads the committed
         ``sentences`` parts that those blocks wrote.  So the sort sees
-        about turns / PARSE_BATCH_SIZE blocks, not one per input file, and
-        each of its output blocks is one parse batch.  Measured cost of
+        about turns / PARSE_BATCH_SIZE blocks, not one per input file,
+        and each of its output blocks is one parse batch.  Measured cost of
         the alternative (BASELINE.md, "Dedup-sort exchange"; fresh 4-CPU
         session on a 4-vCPU Xeon, ``kg_repeat``): fed one block per read
         task (8), the sort and the tasks around it cost 6.8 CPU-s per
@@ -371,11 +384,12 @@ def build_kg(transcripts_dir: str, out_dir: str, *, resume: bool = True,
         intermediate barrier, the ``minimal`` plan of one stage."""
         return _triples(_parses(_sentences(ds)), name)
 
-    # per_block: a triples block is one parse batch, and the edges
-    # combiner runs in its extract task (stages/canonicalize.py)
-    aggregates = {name: lambda ds, f=f, name=name: f(
-        ds, metrics_dir=store.metrics_dir(name), per_block=True)
-        for name, f in _AGGREGATES.items()}
+    # the group-bys record n_exchange_rows (rows their combiner passed to
+    # the sort) under their manifest's metrics.extraction
+    aggregates = {
+        "edges": lambda ds: aggregate_edges(ds, store.metrics_dir("edges")),
+        "entities": lambda ds: aggregate_entities(
+            ds, store.metrics_dir("entities"))}
     if not triples_shards:
         if checkpoints == "all":
             names = ["sentences", "parses", "triples", "edges", "entities"]

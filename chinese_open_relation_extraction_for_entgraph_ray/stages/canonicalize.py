@@ -10,18 +10,18 @@ rule requires:
   and fetched in ``__init__``), with containment fallback for coarse spans;
 - (subj, pred, obj) triple dedup and entity materialization, each a
   combiner followed by :func:`..groupagg.sorted_hash_aggregate`.  The
-  combiner emits one row per distinct key of its batch, so a hot key (e.g.
-  a copular predicate over a celebrity entity) reaches the sort at most
-  once per batch.  By default a batch is ~combine_batch_size() rows, which
-  also coalesces a fragmented input before the sort (600 one-block inputs
-  sort as a few blocks, not 600).  ``per_block=True`` takes each block as
-  its batch, for a caller whose blocks are already batches:
-  ``pipelines/kg.py`` builds triples, edges and entities as one execution,
-  where a triples block is one parse batch and the edges combiner runs in
-  the same task as its extraction — a larger batch would make Ray fuse its
-  bundling into the extract tasks and extract the corpus as one task.
-  Neither materializes or counts its partials, so both run inside the
-  caller's execution; ``auto_hash_aggregate``'s second pre-combine and its
+  combiner takes each input block whole and emits one row per distinct
+  key of it, so a hot key (e.g. a copular predicate over a celebrity
+  entity) reaches the sort at most once per block.  ``pipelines/kg.py``
+  builds triples, edges and entities as one execution, where a triples
+  block is one parse batch and the edges combiner runs in the same task
+  as its extraction (a batch larger than a block would make Ray fuse its
+  bundling into the extract tasks and extract the corpus as one task).
+  The sort has as many partitions as the combiner has input blocks, so a
+  caller with a fragmented input (many tiny blocks) pays one sort
+  partition per block.  Neither aggregate materializes or counts its
+  partials, so both run inside the caller's execution;
+  ``auto_hash_aggregate``'s coalescing second pre-combine and its
   count-dispatched small tier are not used here.
 """
 
@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.lexicon import ENTITY_ALIASES, NER_GAZETTEER
-from .groupagg import combine_batch_size, sorted_hash_aggregate
+from .groupagg import sorted_hash_aggregate
 
 # rel kinds that become edges
 EDGE_KINDS = ("fine", "amend_fine")
@@ -106,7 +106,7 @@ def partial_edge_counts(batch: pa.Table) -> pa.Table:
 
 
 def _count_exchange_rows(metrics_dir: str | None, partials: pa.Table) -> None:
-    """Record how many rows one combiner batch passes to the sort, as the
+    """Record how many rows one combiner block passes to the sort, as the
     partition record ``{"n_exchange_rows": n}`` in ``metrics_dir``."""
     if metrics_dir is not None:
         from ..state.lineage import emit_partition_metrics
@@ -115,30 +115,16 @@ def _count_exchange_rows(metrics_dir: str | None, partials: pa.Table) -> None:
                                {"n_exchange_rows": partials.num_rows})
 
 
-def _batch_size(per_block: bool) -> int | None:
-    return None if per_block else combine_batch_size()
-
-
-def _unreserved(ds):
-    """``ds`` with Ray Data's per-operator resource reservation off on its
-    own context: the maps behind the sort idle until it ends, yet would
-    hold a CPU share each and leave the combiner about one task at a time
-    (BASELINE.md "One execution per build")."""
-    ds.context.op_resource_reservation_enabled = False
-    return ds
-
-
-def aggregate_edges(triples_ds, metrics_dir: str | None = None,
-                    per_block: bool = False):
+def aggregate_edges(triples_ds, metrics_dir: str | None = None):
     """triples Dataset -> canonical edges Dataset (``EDGE_KINDS`` triples).
 
     A map-side combiner (:func:`partial_edge_counts`, pyarrow ``group_by``
-    on the surfaces) collapses each batch (module docstring) to one row
-    per distinct triple, then :func:`..groupagg.sorted_hash_aggregate`
-    sums the partial weights.  Keys are the triple surfaces (null ->
-    ``""``); entity ids ride along (functions of the key); provenance via
-    ``min``.  With ``metrics_dir`` each combiner batch records its output
-    rows (``n_exchange_rows``)."""
+    on the surfaces) collapses each block to one row per distinct triple,
+    then :func:`..groupagg.sorted_hash_aggregate` sums the partial
+    weights.  Keys are the triple surfaces (null -> ``""``); entity ids
+    ride along (functions of the key); provenance via ``min``.  With
+    ``metrics_dir`` each combiner block records its output rows
+    (``n_exchange_rows``)."""
     kinds = pa.array(EDGE_KINDS)
 
     def filtered_partials(batch: pa.Table) -> pa.Table:
@@ -148,12 +134,12 @@ def aggregate_edges(triples_ds, metrics_dir: str | None = None,
         _count_exchange_rows(metrics_dir, out)
         return out
 
-    return _unreserved(sorted_hash_aggregate(
+    return sorted_hash_aggregate(
         triples_ds.map_batches(filtered_partials, batch_format="pyarrow",
-                               batch_size=_batch_size(per_block)),
+                               batch_size=None),
         EDGE_KEYS,
         [("weight", "sum"), ("sample_conv_id", "min"),
-         ("sample_turn_idx", "min")]))
+         ("sample_turn_idx", "min")])
 
 
 def explode_mentions(edges: pa.Table) -> pa.Table:
@@ -169,14 +155,13 @@ def explode_mentions(edges: pa.Table) -> pa.Table:
         names=["entity_id", "mention_count"])
 
 
-def aggregate_entities(edges_ds, metrics_dir: str | None = None,
-                       per_block: bool = False):
+def aggregate_entities(edges_ds, metrics_dir: str | None = None):
     """Edges -> entity table: canonical surface + total mention weight.
 
-    Each batch of edges is exploded to mentions and collapsed by a pyarrow
+    Each block of edges is exploded to mentions and collapsed by a pyarrow
     ``group_by`` to one row per entity (the combiner), then
     :func:`..groupagg.sorted_hash_aggregate` sums the partial counts.
-    ``metrics_dir`` and ``per_block`` as in :func:`aggregate_edges`."""
+    ``metrics_dir`` as in :func:`aggregate_edges`."""
     def mention_partials(edges: pa.Table) -> pa.Table:
         agg = explode_mentions(edges).group_by("entity_id").aggregate(
             [("mention_count", "sum")])
@@ -186,7 +171,7 @@ def aggregate_entities(edges_ds, metrics_dir: str | None = None,
         _count_exchange_rows(metrics_dir, out)
         return out
 
-    return _unreserved(sorted_hash_aggregate(
+    return sorted_hash_aggregate(
         edges_ds.map_batches(mention_partials, batch_format="pyarrow",
-                             batch_size=_batch_size(per_block)),
-        ["entity_id"], [("mention_count", "sum")]))
+                             batch_size=None),
+        ["entity_id"], [("mention_count", "sum")])

@@ -208,15 +208,12 @@ class CheckpointStore:
             return json.load(fp)
 
     def commit_stage(self, stage: str, input_fingerprint: str,
-                     metrics: dict | None = None, schema=None,
-                     records_key: str | None = "extraction") -> dict:
+                     metrics: dict | None = None, schema=None) -> dict:
         """Write the lineage manifest AFTER the stage's parquet is on disk —
         the manifest's presence is the stage's commit record.  Parts of
         superseded task attempts (and unrenamed ``.tmp`` files of a dead
         one) are deleted first; a stage that wrote no rows gets one 0-row
-        part of ``schema``, so it still reads as a table.  The merged
-        partition records go under ``metrics[records_key]``, or into
-        ``metrics`` itself when ``records_key`` is None."""
+        part of ``schema``, so it still reads as a table."""
         import pyarrow.parquet as pq
 
         sdir = self.stage_dir(stage)
@@ -250,10 +247,8 @@ class CheckpointStore:
             "partitions": partitions,
             "metrics": metrics or {},
         }
-        if extraction and records_key:
-            manifest["metrics"][records_key] = extraction
-        elif extraction:
-            manifest["metrics"].update(extraction)
+        if extraction:
+            manifest["metrics"]["extraction"] = extraction
         tmp = self._manifest_path(stage) + ".tmp"
         with open(tmp, "w") as fp:
             json.dump(manifest, fp, indent=1, ensure_ascii=False)

@@ -1,7 +1,9 @@
 """Plan-robustness matrix for the KG edge / entity aggregates: seeded triples
 in {64, 600, 1200} one-block inputs x {uniform: 1,000 rows/block, edges ~
 rows; hot: 3,000 rows/block, half of them one triple}, through
-``aggregate_edges`` + ``aggregate_entities`` on a 4-CPU Ray session.  One
+``aggregate_edges`` + ``aggregate_entities`` on a 4-CPU Ray session, as
+``build_kg`` runs them: each block is one combiner batch (in a build, one
+parse batch's triples) and Ray Data's operator reservation is off.  One
 JSON line per cell: the wall of each run and the mismatch counts of
 ``perfbench/checks.py`` (b)/(c) (0 = equal to DuckDB GROUP BYs).
 
@@ -63,11 +65,13 @@ def main():
 
     rd.DataContext.get_current().enable_progress_bars = False
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    for shape in ("uniform", "hot"):
-        for n_blocks in (64, 600, 1200):
+    for n_blocks in (64, 600, 1200):
+        for shape in ("uniform", "hot"):
             blocks, walls = make_blocks(n_blocks, shape), []
             for _ in range(runs):
                 ds = rd.from_arrow(blocks)
+                # what build_kg's stage() sets on its execution's context
+                ds.context.op_resource_reservation_enabled = False
                 t0 = time.perf_counter()
                 edges = aggregate_edges(ds).materialize()
                 entities = aggregate_entities(edges).materialize()

@@ -77,8 +77,8 @@ def test_hot_key_edges_match_reference(ray_session, monkeypatch,
                                        small_partials):
     """Half of the fine rows carry one key; edges and entities equal the
     single-process group-by on the one sorted path, and the hot key reaches
-    the edges sort from several combiner batches — at most once per
-    batch. ``auto_hash_aggregate``'s small-partials threshold does not
+    the edges sort from several input blocks — at most once per block
+    (the combiner takes each block whole). ``auto_hash_aggregate``'s small-partials threshold does not
     route either aggregate off that path (it would count, i.e. execute,
     the stream mid-build)."""
     import ray.data as rd
@@ -100,8 +100,6 @@ def test_hot_key_edges_match_reference(ray_session, monkeypatch,
 
     monkeypatch.setattr(canonicalize, "sorted_hash_aggregate", spy)
     monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", small_partials)
-    # small batches: the hot key reaches the exchange from several of them
-    monkeypatch.setattr(canonicalize, "combine_batch_size", lambda: 100)
     edges = canonicalize.aggregate_edges(rd.from_arrow(blocks)).materialize()
     assert _edges(edges) == ref
     entities = sorted((r["entity_id"], r["mention_count"]) for r in
@@ -112,7 +110,7 @@ def test_hot_key_edges_match_reference(ray_session, monkeypatch,
     hot_partials = [r for r in exchanges[0][1]
                     if tuple(r[c] for c in canonicalize.EDGE_KEYS)
                     == hot[0][:5]]
-    assert 1 < len(hot_partials) <= math.ceil(N_BLOCKS * BLOCK_ROWS / 100)
+    assert 1 < len(hot_partials) <= N_BLOCKS
     assert sum(r["weight"] for r in hot_partials) == hot[0][5]
 
 

@@ -110,7 +110,8 @@ def test_edges_entities_equal_pandas_group_by(ray_session, tdir, tmp_path,
         assert _manifest(out, s)["metrics"]["execution_stages"] == chain
     for s in ("edges", "entities"):
         m = _manifest(out, s)
-        assert m["metrics"]["n_exchange_rows"] >= m["total_rows"] > 0
+        assert m["metrics"]["extraction"]["n_exchange_rows"] \
+            >= m["total_rows"] > 0
     _check_against_triples(out)
 
 
@@ -141,6 +142,31 @@ def test_cold_build_is_one_execution(ray_session, tdir, tmp_path,
                    checkpoints=checkpoints)
     assert res["_meta"]["ran_stages"][-3:] == ["triples", "edges", "entities"]
     assert calls == ["write_parquet"]
+
+
+@pytest.mark.parametrize("dedup_sort", [True, False])
+def test_files_larger_than_a_parse_batch_are_split(ray_session, tmp_path,
+                                                   monkeypatch, dedup_sort):
+    """A corpus of two files, each larger than a parse batch: the read
+    splits them into about one block per PARSE_BATCH_SIZE turns, so
+    sentences, parses and triples each run as more than one partition per
+    file (the dedup sort keeps the read's block count), and edges and
+    entities still equal pandas."""
+    from chinese_open_relation_extraction_for_entgraph_ray.pipelines import kg
+
+    batch = 16
+    monkeypatch.setattr(kg, "PARSE_BATCH_SIZE", batch)
+    big = write_transcripts(str(tmp_path / "in"), SEED, NUM_CONVS, files=2)
+    turns = [pq.ParquetFile(os.path.join(big, f)).metadata.num_rows
+             for f in sorted(os.listdir(big)) if f.endswith(".parquet")]
+    assert len(turns) == 2 and min(turns) > 2 * batch
+    out = str(tmp_path / "kg")
+    build_kg(big, out, resume=False, checkpoints="all",
+             dedup_sort=dedup_sort)
+    bundles = sum(t // batch for t in turns)
+    for stage in ("sentences", "parses", "triples"):
+        assert len(_manifest(out, stage)["partitions"]) >= bundles > len(turns)
+    _check_against_triples(out)
 
 
 def _explode_reference(batch: pa.Table) -> pa.Table:
