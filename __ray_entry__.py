@@ -951,7 +951,7 @@ def _q_transcripts_predicate_types(sf_dir: str):
     counts = auto_hash_aggregate(
         _proxy_pred_triples(sf_dir).map_batches(typed,
                                                 batch_format="pyarrow"),
-        ["pred", "subj_type", "obj_type"], [("n", "sum")]).materialize()
+        ["pred", "subj_type", "obj_type"], [("n", "sum")])
     totals = auto_hash_aggregate(
         counts.select_columns(["pred", "n"]), ["pred"], [("n", "sum")])
     joined = lookup_join(counts, totals, left_key="pred",
@@ -1025,7 +1025,7 @@ def _q_transcripts_kg_negatives(sf_dir: str):
 
     triples = auto_hash_aggregate(
         _proxy_pred_triples(sf_dir), ["pred", "subj", "obj"],
-        []).materialize()
+        [])
 
     def ents(b: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -1035,7 +1035,7 @@ def _q_transcripts_kg_negatives(sf_dir: str):
 
     vocab_ds = auto_hash_aggregate(
         triples.map_batches(ents, batch_format="pyarrow"),
-        ["entity"], []).materialize()
+        ["entity"], [])
     n_vocab = vocab_ds.count()
     if n_vocab > 10_000_000:
         raise ValueError(
@@ -2445,10 +2445,8 @@ def _q_events_hourly(sf_dir: str):
              batch.column("value")],
             names=["event_type", "hour_epoch", "n_events", "total_value"])
 
-    # (type, hour) cardinality grows with the TIME SPAN, not the data size
-    # — observed-cardinality dispatch picks the no-sort small path here and
-    # the sorted-block path only if the window key count ever explodes
-    # (VERDICT r2 #3: dispatch on group count, not key names)
+    # (type, hour) cardinality grows with the TIME SPAN, not the data size,
+    # so the combiner leaves the exchange a few rows per batch
     agg = auto_hash_aggregate(
         ds.map_batches(prep, batch_format="pyarrow"),
         ["event_type", "hour_epoch"],
@@ -2626,9 +2624,8 @@ def _q_events_sliding_window(sf_dir: str):
         return batch.append_column(
             "n_events", pa.array(np.ones(batch.num_rows, dtype=np.int64)))
 
-    # window keys are time-span-bound like events_hourly: same
-    # observed-cardinality dispatch (and the fan-out means the combiner
-    # collapses 4x duplication before any exchange)
+    # window keys are time-span-bound like events_hourly (and the fan-out
+    # means the combiner collapses 4x duplication before any exchange)
     return auto_hash_aggregate(
         _read(sf_dir, "events", columns=["event_type", "ts"])
         .map_batches(fan_out, batch_format="pyarrow")
@@ -2842,8 +2839,8 @@ def _q_docs_top_tokens(sf_dir: str):
     the exchange carries one row per (batch, distinct token), never raw
     tokens."""
     # token cardinality is corpus-vocabulary-bound (can reach 1e8+ at
-    # 100 TB): observed-cardinality dispatch — small vocab reduces on the
-    # no-sort path, a web-scale vocab takes the sorted-block aggregate
+    # 100 TB): the sorted aggregate's cost follows the partials, not a
+    # cardinality threshold
     return (_token_counts(sf_dir)
             .sort(["n", "token"], descending=[True, False])
             .limit(20))
@@ -2851,7 +2848,7 @@ def _q_docs_top_tokens(sf_dir: str):
 
 def _token_counts(sf_dir: str):
     """Corpus-wide exact (token, n) counts — per-batch dict pre-aggregation
-    (combiner) + observed-cardinality grouped sum; the exchange carries one
+    (combiner) + the pre-combined sorted grouped sum; the exchange carries one
     row per (batch, distinct token), never raw tokens.  Shared by
     docs_top_tokens and docs_zipf_fit."""
     import pyarrow as pa

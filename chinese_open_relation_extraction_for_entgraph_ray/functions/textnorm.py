@@ -42,10 +42,6 @@ def count_chinese(s: str) -> int:
     return len(_CHINESE_RE.findall(s))
 
 
-def has_chinese(s: str) -> bool:
-    return _CHINESE_RE.search(s) is not None
-
-
 def normalize_line(line: str) -> str:
     """Normalize one sentence; returns '' when nothing survives
     (callers drop empty results, mirroring preprocess_corpus.py:52-57)."""

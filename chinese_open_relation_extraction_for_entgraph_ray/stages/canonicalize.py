@@ -19,10 +19,10 @@ rule requires:
   bundling into the extract tasks and extract the corpus as one task).
   The sort has as many partitions as the combiner has input blocks, so a
   caller with a fragmented input (many tiny blocks) pays one sort
-  partition per block.  Neither aggregate materializes or counts its
-  partials, so both run inside the caller's execution;
-  ``auto_hash_aggregate``'s coalescing second pre-combine and its
-  count-dispatched small tier are not used here.
+  partition per block.  Neither aggregate materializes its result, so
+  both run inside the caller's execution; ``auto_hash_aggregate``, which
+  coalesces its input before the combiner and materializes, is not used
+  here.
 """
 
 from __future__ import annotations

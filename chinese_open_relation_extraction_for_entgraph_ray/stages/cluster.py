@@ -134,9 +134,8 @@ def connected_components(pairs_ds, *, a: str = "a", b: str = "b",
 
     def _grouped_min(ds):
         """node-keyed min — node cardinality ~ corpus size, so this runs
-        through the observed-cardinality dispatch (the builtin groupby
-        reduce is linear in group count), falling back to the no-sort
-        merge path on small graphs."""
+        through the pre-combined sorted aggregate (the builtin groupby
+        reduce is linear in group count)."""
         return auto_hash_aggregate(
             ds.map_batches(lambda t: t.rename_columns(["node", "label"]),
                            batch_format="pyarrow"),
@@ -245,7 +244,7 @@ def connected_components_str(pairs_ds, *, a: str = "a", b: str = "b",
 
     vocab = auto_hash_aggregate(
         hashed.map_batches(endpoints, batch_format="pyarrow"),
-        ["node"], [("node_str", "min")]).materialize()
+        ["node"], [("node_str", "min")])
 
     # read twice (the per-component min, then the join back onto it)
     named = lookup_join(comp, vocab, left_key="node", right_key="node",

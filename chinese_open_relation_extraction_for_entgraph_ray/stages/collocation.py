@@ -71,14 +71,14 @@ def bigram_pmi(docs_ds, *, min_count: int = 5, id_col: str = "doc_id",
 
     uni = auto_hash_aggregate(
         docs_ds.map_batches(uni_rows, batch_format="pyarrow"),
-        ["w"], [("c", "sum")]).materialize()   # reused: total + 2 joins
+        ["w"], [("c", "sum")])
     total_tokens = float(uni.sum("c") or 0.0)
 
     big = auto_hash_aggregate(
         docs_ds.map_batches(
             lambda b: _bigram_rows(b, id_col, text_col),
             batch_format="pyarrow"),
-        ["w1", "w2"], [("n", "sum")]).materialize()  # total + filter
+        ["w1", "w2"], [("n", "sum")])
     total_bigrams = float(big.sum("n") or 0.0)
 
     kept = big.map_batches(

@@ -398,10 +398,8 @@ def minhash_candidate_pairs(docs_ds):
                           ("n_bands", pa.int64())]),
         arrow_blocks=True)
     # final pair dedupe: a pair is emitted once per agreeing band (up to
-    # BANDS x), so the per-block pre-combine of auto_hash_aggregate
-    # collapses the duplication BEFORE any exchange, and the observed-
-    # cardinality dispatch skips the sort entirely when the surviving
-    # pair count is small
+    # BANDS x), so the pre-combine of auto_hash_aggregate collapses the
+    # duplication BEFORE any exchange
     return auto_hash_aggregate(pairs, ["a", "b"], [("n_bands", "sum")])
 
 

@@ -30,8 +30,8 @@ oracle running the same join.
 100-TB shape (same anatomy as ``dedup.similar_pairs_exact``):
 
 - feature counts + per-predicate squared norms are TWO pre-combined
-  aggregates (``auto_hash_aggregate`` — partial per block, small final
-  exchange);
+  aggregates (``auto_hash_aggregate`` — a partial per combiner batch, then
+  one sorted exchange over the partials);
 - pair emission is an inverted-index join on the argument pair: ONE sort
   by the feature key, per-bucket ``triu_indices`` pair emit vectorized
   over whole sorted blocks (``sorted_map_groups``: each bucket lands
@@ -82,7 +82,7 @@ def _feature_counts(triples_ds, pred_col: str, subj_col: str, obj_col: str):
 
     return auto_hash_aggregate(
         triples_ds.map_batches(add_ones, batch_format="pyarrow"),
-        ["pred", "subj", "obj"], [("cnt", "sum")]).materialize()
+        ["pred", "subj", "obj"], [("cnt", "sum")])
 
 
 def _cap_hub_features(feat, max_feature_df: int):

@@ -166,8 +166,8 @@ def filter_histograms(parses_ds, config: ExtractionConfig = DEFAULT_CONFIG):
              pa.array([agg[k] for k in keys], pa.int64())],
             names=["bucket", "token", "n"])
 
-    # (bucket, token) cardinality is vocabulary-bound — same
-    # observed-cardinality dispatch as the other token-keyed aggregates
+    # (bucket, token) cardinality is vocabulary-bound, so the combiner
+    # leaves the exchange few rows
     return (auto_hash_aggregate(
                 parses_ds.map_batches(batch_counts, batch_format="pyarrow"),
                 ["bucket", "token"], [("n", "sum")])

@@ -27,10 +27,9 @@ edges fit in a worker.
 Dispatch: every Dataset execution costs ~0.5-1.5 s fixed in this runtime,
 and the join path pays ~6 executions PER ROUND — on a small graph that
 fixed cost dwarfs the work (measured: 4 rounds over a 109-node graph =
-210 s).  So, like ``groupagg.auto_hash_aggregate``, ``pagerank`` dispatches
-on the OBSERVED graph size: when node count and edge count fit the
-broadcast bounds, the rank vector lives on the driver and is broadcast via
-``ray.put`` each round — edges still stream through ONE distributed
+210 s).  So ``pagerank`` dispatches on the OBSERVED graph size: when node
+count and edge count fit the broadcast bounds, the rank vector lives on the
+driver and is broadcast via ``ray.put`` each round — edges still stream through ONE distributed
 map_batches per round (per-block sparse pre-combined contributions; only
 O(n_nodes)-bounded partials return to the driver).  Larger graphs take the
 all-Dataset join path unchanged.
@@ -306,7 +305,7 @@ def k_core(edges_ds, k: int = 3, *, a: str = "a", b: str = "b",
                 out_schema.empty_table())
         deg = auto_hash_aggregate(
             edges.map_batches(both_ends, batch_format="pyarrow"),
-            ["entity"], [("core_degree", "sum")]).materialize()
+            ["entity"], [("core_degree", "sum")])
         keep = deg.map_batches(
             lambda t: t.filter(
                 pc.greater_equal(t.column("core_degree"), k)),
@@ -395,7 +394,7 @@ def label_propagation(edges_ds, seeds_ds, *, rounds: int = 4,
                         batch_format="pyarrow")
         .union(seeds.map_batches(lambda t: node_rows(t, "node"),
                                  batch_format="pyarrow")),
-        ["node"], [("n", "sum")]).materialize()
+        ["node"], [("n", "sum")])
     n_nodes = nodes.count()
     if (n_nodes <= broadcast_max_nodes
             and und.count() <= broadcast_max_edges):
@@ -1284,7 +1283,7 @@ def k_truss(edges_ds, k: int = 4, *, a: str = "a", b: str = "b",
         sup = auto_hash_aggregate(
             enumerate_triangles(edges)
             .map_batches(tri_edges, batch_format="pyarrow"),
-            ["a", "b"], [("support", "sum")]).materialize()
+            ["a", "b"], [("support", "sum")])
         kept = sup.map_batches(
             lambda t: t.filter(
                 pc.greater_equal(t.column("support"), k - 2)),
@@ -1422,7 +1421,7 @@ def betweenness_from_sources(edges_ds, sources: list[str], *,
                             [t.column("src"), t.column("term_w")],
                             names=["node", "t"]),
                         batch_format="pyarrow"),
-                    ["node"], [("t", "sum")]).materialize(),
+                    ["node"], [("t", "sum")]),
                 pa.schema([("node", pa.string()), ("t", pa.float64())]))
             joined = lookup_join(levels[d], sums, left_key="node",
                                  right_key="node", payload=["t"],

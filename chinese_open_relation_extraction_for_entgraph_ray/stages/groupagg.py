@@ -11,19 +11,17 @@ After the sort by the key hash every group sits whole in one sorted block
 (the invariant ``stages/blockgroup.py`` documents and
 ``tests/test_blockgroup.py`` pins), so each block is aggregated once and its
 output is final: no boundary pass.  The sort does not bound a hot key — it
-lands in one block with all its rows.  What bounds it is
-:func:`auto_hash_aggregate`'s pre-combine, which reduces every input batch
-first so the exchange sees at most one partial per (batch, key).  Every
-aggregate must be re-aggregatable (sum/min/max of partials) for that
-pre-combine to compose.
+lands in one block with all its rows.  What bounds it is the pre-combine of
+:func:`auto_hash_aggregate` (the callers' entry point), which coalesces the
+input to :func:`combine_batch_size`-row batches and reduces each first, so
+the exchange sees at most one partial per (batch, key) (BASELINE.md, "KG
+aggregate plan robustness": this beat salting a hot key at 600/1200
+blocks).  Every aggregate must be re-aggregatable (sum/min/max of partials)
+for that pre-combine to compose.
 
 Keys are hashed to 128 bits (two int64 columns) so key collisions stay
 negligible even at billions of distinct groups; the original key columns ride
 along via ``min`` (constant within a hash group).
-
-:func:`auto_hash_aggregate`, the callers' entry point, owns the one
-robustness rule of the exchange: coalesce before it (BASELINE.md, "KG
-aggregate plan robustness": this beat salting a hot key at 600/1200 blocks).
 """
 
 from __future__ import annotations
@@ -161,58 +159,28 @@ def combine_batch_size() -> int:
     return max(65536, 2_097_152 // max(ncpus, 1))
 
 
-# Below this many observed partial-aggregate rows, skip the global sort and
-# reduce the partials on one node — a single pyarrow hash aggregation over
-# <=500k rows is milliseconds, while the Ray sort exchange costs ~1-2 s of
-# fixed per-op latency regardless of size (measured; BASELINE.md r3).
-AUTO_SMALL_PARTIALS = 500_000
-
-
 def auto_hash_aggregate(ds, key_cols: list[str],
                         agg_spec: list[tuple[str, str]]):
-    """Group-aggregate with OBSERVED-cardinality dispatch (VERDICT r2 #3:
-    decide on an estimated group count, not a key-name allowlist).
+    """Group-aggregate with one plan for every input: pre-combine, then
+    :func:`sorted_hash_aggregate`, then materialize.
 
-    Always pre-combines first (pyarrow hash aggregation inside map_batches
-    — the combiner) over :func:`combine_batch_size`-row batches, coalescing
-    small input blocks: the exchange sees one row per (batch, distinct key)
-    in ~rows / combine_batch_size() blocks, however fragmented the input,
-    so a hot key needs no salting.  The materialized partial stream's row
-    count is an upper bound on the group count:
-
-    - ``<= AUTO_SMALL_PARTIALS`` (low cardinality — e.g. hourly windows,
-      whose key count grows with time span, not data size): ONE
-      repartition(1) + final pyarrow merge.  No sort exchange at all —
-      cheaper than both the builtin groupby and the sorted-block path at
-      this size.
-    - otherwise (high cardinality — keys ~ rows): the sorted-block path of
-      :func:`sorted_hash_aggregate` over the partials.
+    The combiner (pyarrow hash aggregation inside map_batches) runs over
+    :func:`combine_batch_size`-row batches, coalescing small input blocks:
+    the exchange sees one row per (batch, distinct key) in
+    ~rows / combine_batch_size() blocks, however fragmented the input, so a
+    hot key needs no salting (BASELINE.md, "KG aggregate plan robustness").
+    The result is materialized: joins read their inputs' ``schema()`` or
+    ``count()``, which on a lazy result re-runs the whole upstream, and a
+    materialized right side lets ``lookup_join`` / ``semi_join`` broadcast.
 
     Same exactness contract as :func:`sorted_hash_aggregate` (re-aggregatable
     fns only: sum/min/max)."""
-    for _, fn in agg_spec:
-        if fn not in ("sum", "min", "max"):
-            raise ValueError(f"non-reaggregatable fn {fn!r}")
     out_cols = list(key_cols) + [c for c, _ in agg_spec]
 
     def precombine(batch: pa.Table) -> pa.Table:
         return _pa_aggregate(_add_key_hash(batch, key_cols), key_cols,
-                             agg_spec)
+                             agg_spec).select(out_cols)
 
-    # The one rule for every exchange on the KG path: coalesce its input to
-    # the batch its consumer takes, so its fan-out tracks rows, not input
-    # blocks.  Here that is the combiner's batch; the dedup sort in
-    # pipelines/kg.py hashes parse batches and the parse takes its output
-    # blocks whole (BASELINE.md, "Dedup-sort exchange").
     partials = ds.map_batches(precombine, batch_format="pyarrow",
-                              batch_size=combine_batch_size()).materialize()
-    if partials.count() <= AUTO_SMALL_PARTIALS:
-        return partials.repartition(1).map_batches(
-            lambda b: _pa_aggregate(b, key_cols, agg_spec).select(out_cols),
-            batch_format="pyarrow", batch_size=None)
-    # high cardinality: partials already carry the hash columns, but
-    # re-aggregating through sorted_hash_aggregate keeps one audited path
-    return sorted_hash_aggregate(
-        partials.map_batches(lambda b: b.select(out_cols),
-                             batch_format="pyarrow"),
-        key_cols, agg_spec)
+                              batch_size=combine_batch_size())
+    return sorted_hash_aggregate(partials, key_cols, agg_spec).materialize()

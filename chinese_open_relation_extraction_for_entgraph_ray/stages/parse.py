@@ -10,12 +10,16 @@ actor-pool stage by passing a model-backed actor with the same
 ``__init__`` — exactly the reference's ``--ready_ddp`` decoupling of parsing
 from extraction.
 
-The stage asserts the reference's reconstruction invariant for every row:
-``''.join(words) == text`` (dudepparse.py:1901-1906); rows with equal text
-share one parse, so it is checked once per distinct text.
+Both parsers here go through :func:`parse_distinct` (a custom
+``parser_cls`` gets the same contract by calling it): it parses each
+distinct text of a batch once and asserts the reference's reconstruction
+invariant ``''.join(words) == text`` (dudepparse.py:1901-1906) on that
+parse, which all rows with the text share.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -31,6 +35,34 @@ PARSES_SCHEMA = pa.schema([
     ("heads", pa.list_(pa.int32())),
     ("deprels", pa.list_(pa.string())),
 ])
+
+
+Parse = tuple[list[str], list[int], list[str]]
+
+
+def parse_distinct(batch: pa.Table,
+                   parse_texts: Callable[[list[str]], list[Parse]]
+                   ) -> pa.Table:
+    """The batch contract every parser shares: ``parse_texts`` maps texts to
+    ``(words, heads, deprels)``.  Transcripts repeat sentences heavily, so
+    it sees each distinct text of the batch once; each parse is checked
+    against its text, then expanded to rows with one take over the
+    dictionary indices."""
+    enc = pc.dictionary_encode(batch.column("text").combine_chunks(),
+                               null_encoding="encode")
+    texts = enc.dictionary.to_pylist()
+    parses = parse_texts(texts)
+    for text, (words, _, _) in zip(texts, parses):
+        if "".join(words) != text:   # dudepparse.py:1901-1906
+            raise AssertionError(f"parse reconstruction mismatch: {text!r}")
+    words_col, heads_col, deprels_col = list(zip(*parses)) or ([], [], [])
+    return pa.Table.from_arrays(
+        [batch.column("conv_id"), batch.column("turn_idx"),
+         batch.column("sent_idx"), batch.column("text"),
+         pa.array(words_col, pa.list_(pa.string())).take(enc.indices),
+         pa.array(heads_col, pa.list_(pa.int32())).take(enc.indices),
+         pa.array(deprels_col, pa.list_(pa.string())).take(enc.indices)],
+        schema=PARSES_SCHEMA)
 
 
 class DDParserActor:
@@ -52,28 +84,17 @@ class DDParserActor:
             ) from e
         self._ddp = DDParser(encoding_model="transformer")   # pragma: no cover
 
-    def __call__(self, batch: pa.Table) -> pa.Table:         # pragma: no cover
-        texts = batch.column("text").to_pylist()
-        parses = self._ddp.parse(texts)
-        words_col = [p["word"] for p in parses]
-        heads_col = [p["head"] for p in parses]
-        deprels_col = [p["deprel"] for p in parses]
-        for text, words in zip(texts, words_col):
-            if "".join(words) != text:   # dudepparse.py:1901-1906
-                raise AssertionError(f"parse reconstruction mismatch: {text!r}")
-        return pa.Table.from_arrays(
-            [batch.column("conv_id"), batch.column("turn_idx"),
-             batch.column("sent_idx"), batch.column("text"),
-             pa.array(words_col, pa.list_(pa.string())),
-             pa.array(heads_col, pa.list_(pa.int32())),
-             pa.array(deprels_col, pa.list_(pa.string()))],
-            schema=PARSES_SCHEMA)
+    def _parse_texts(self, texts: list[str]) -> list[Parse]:
+        return [(p["word"], p["head"], p["deprel"])
+                for p in self._ddp.parse(texts)]
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return parse_distinct(batch, self._parse_texts)
 
 
 class TemplateParserActor:
     """Deterministic rule/lexicon parser over the templates
-    ``compiled_templates`` compiles once per process; each distinct text of
-    a batch is parsed once.
+    ``compiled_templates`` compiles once per process.
 
     The template parser carries no model weights, so ``build_kg`` runs it as
     a plain task through :func:`template_parse`; the actor-pool path
@@ -84,7 +105,7 @@ class TemplateParserActor:
     def __init__(self):
         self._templates = compiled_templates()
 
-    def _parse(self, text: str) -> tuple[list[str], list[int], list[str]]:
+    def _parse(self, text: str) -> Parse:
         for t, pat in self._templates:
             m = pat.match(text)
             if m is None:
@@ -95,23 +116,8 @@ class TemplateParserActor:
         return [text], [0], ["HED"]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # transcripts repeat sentences heavily: parse each distinct text once
-        # and expand to rows with one take over the dictionary indices
-        enc = pc.dictionary_encode(batch.column("text").combine_chunks(),
-                                   null_encoding="encode")
-        texts = enc.dictionary.to_pylist()
-        parses = [self._parse(text) for text in texts]
-        for text, (words, _, _) in zip(texts, parses):
-            if "".join(words) != text:   # dudepparse.py:1901-1906
-                raise AssertionError(f"parse reconstruction mismatch: {text!r}")
-        words_col, heads_col, deprels_col = list(zip(*parses)) or ([], [], [])
-        return pa.Table.from_arrays(
-            [batch.column("conv_id"), batch.column("turn_idx"),
-             batch.column("sent_idx"), batch.column("text"),
-             pa.array(words_col, pa.list_(pa.string())).take(enc.indices),
-             pa.array(heads_col, pa.list_(pa.int32())).take(enc.indices),
-             pa.array(deprels_col, pa.list_(pa.string())).take(enc.indices)],
-            schema=PARSES_SCHEMA)
+        return parse_distinct(batch,
+                              lambda texts: [self._parse(t) for t in texts])
 
 
 def template_parse(batch: pa.Table) -> pa.Table:

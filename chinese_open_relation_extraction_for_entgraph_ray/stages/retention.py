@@ -49,7 +49,7 @@ def cohort_retention(events_ds, *, user_col: str = "user_id",
     # distinct (user, week); min-of-ones keeps the column re-aggregatable
     active = auto_hash_aggregate(
         events_ds.map_batches(to_weeks, batch_format="pyarrow"),
-        [user_col, "week"], [("one", "min")]).materialize()  # reused 2x
+        [user_col, "week"], [("one", "min")])
 
     cohort = auto_hash_aggregate(
         active.select_columns([user_col, "week"]).map_batches(

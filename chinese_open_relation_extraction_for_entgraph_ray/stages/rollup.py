@@ -72,7 +72,7 @@ def rollup_aggregate(ds, keys: list[str], agg_spec: list[tuple[str, str]],
     out_cols = keys + agg_cols
 
     # finest level: the one data-sized scan + pre-combined exchange
-    finest = auto_hash_aggregate(ds, keys, spec).materialize()
+    finest = auto_hash_aggregate(ds, keys, spec)
     schema = finest.schema()
     key_types = {k: schema.types[schema.names.index(k)] for k in keys}
 
@@ -94,7 +94,7 @@ def rollup_aggregate(ds, keys: list[str], agg_spec: list[tuple[str, str]],
     for n in range(len(keys) - 1, 0, -1):
         prev = auto_hash_aggregate(
             prev.select_columns(keys[:n] + agg_cols),
-            keys[:n], respec).materialize()
+            keys[:n], respec)
         levels.append(prev.map_batches(pad(keys[:n]),
                                        batch_format="pyarrow"))
 

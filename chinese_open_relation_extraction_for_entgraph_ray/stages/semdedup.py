@@ -103,7 +103,7 @@ def semdedup(embeddings_ds, *, threshold: float = 0.95,
             lambda t: pa.Table.from_arrays(
                 [t.column("b"), t.column("a")], names=["b", "a"]),
             batch_format="pyarrow"),
-        ["b"], [("a", "min")]).materialize()
+        ["b"], [("a", "min")])
 
     if drops.count() == 0:
         # no in-cluster near-dups at this threshold: everything survives

@@ -16,9 +16,6 @@ import pyarrow as pa
 from ..functions.fputil import np_round_away
 from .blockgroup import bucket_members, sorted_map_groups
 
-N_HYPERPLANES = 12
-_rng = np.random.RandomState(0xBEEF)
-
 
 def _embedding_matrix(batch: pa.Table) -> np.ndarray:
     """(n, dim) float64 matrix from the embedding column — via the Arrow
@@ -84,19 +81,6 @@ def brute_force_top_k(embeddings_ds, query_vec, k: int = 10):
 
     pruned = scored.map_batches(local_topk, batch_format="pyarrow")
     return pruned.sort(["cosine_sim", "vec_id"], descending=[True, False]).limit(k)
-
-
-def add_lsh_bucket(batch: pa.Table) -> pa.Table:
-    """Random-hyperplane LSH bucket id per vector (the IVF/LSH scale path:
-    candidate buckets only, then exact rerank inside the bucket)."""
-    emb = _embedding_matrix(batch)
-    planes = _hyperplanes(emb.shape[1])
-    bits = (emb @ planes.T) > 0
-    buckets = bits @ (1 << np.arange(N_HYPERPLANES))
-    return pa.Table.from_arrays(
-        [batch.column("vec_id"), batch.column("embedding"),
-         pa.array(buckets.astype(np.int32), pa.int32())],
-        names=["vec_id", "embedding", "bucket"])
 
 
 # --- multi-band hyperplane LSH (near-dup recall path) ------------------------
@@ -364,16 +348,6 @@ def ivf_top_k(embeddings_ds, query_vec, k: int = 10,
     return (embeddings_ds.map_batches(probe_and_score, batch_format="pyarrow")
             .map_batches(local_topk, batch_format="pyarrow")
             .sort(["cosine_sim", "vec_id"], descending=[True, False]).limit(k))
-
-
-_PLANES: dict[int, np.ndarray] = {}
-
-
-def _hyperplanes(dim: int) -> np.ndarray:
-    if dim not in _PLANES:
-        _PLANES[dim] = np.random.RandomState(0xBEEF).standard_normal(
-            (N_HYPERPLANES, dim))
-    return _PLANES[dim]
 
 
 def embedding_norms(batch: pa.Table) -> pa.Table:

@@ -61,6 +61,27 @@ def test_ddparser_actor_batch_contract(monkeypatch):
     assert out.column("conv_id").to_pylist() == ["c0", "c1"]
 
 
+def test_ddparser_actor_parses_each_distinct_text_once(monkeypatch):
+    seen = []
+
+    def parse_impl(text):
+        seen.append(text)
+        return {"word": list(text), "head": [0] * len(text),
+                "deprel": ["HED"] * len(text)}
+
+    monkeypatch.setitem(sys.modules, "ddparser", _fake_ddparser(parse_impl))
+    from chinese_open_relation_extraction_for_entgraph_ray.stages.parse import (
+        DDParserActor,
+    )
+
+    texts = ["它运行", "张伟访问数据", "它运行", "它运行", "张伟访问数据"]
+    out = DDParserActor()(_batch(texts))
+    assert sorted(seen) == sorted(set(texts))
+    assert out.column("text").to_pylist() == texts
+    assert out.column("words").to_pylist() == [list(t) for t in texts]
+    assert out.column("sent_idx").to_pylist() == list(range(len(texts)))
+
+
 def test_ddparser_actor_reconstruction_assert(monkeypatch):
     # a model that DROPS a character must trip the reconstruction invariant
     def parse_impl(text):

@@ -72,15 +72,11 @@ def _entities_reference(edges: list[tuple]) -> list[tuple]:
     return sorted(total.items())
 
 
-@pytest.mark.parametrize("small_partials", [groupagg.AUTO_SMALL_PARTIALS, 0])
-def test_hot_key_edges_match_reference(ray_session, monkeypatch,
-                                       small_partials):
+def test_hot_key_edges_match_reference(ray_session, monkeypatch):
     """Half of the fine rows carry one key; edges and entities equal the
     single-process group-by on the one sorted path, and the hot key reaches
     the edges sort from several input blocks — at most once per block
-    (the combiner takes each block whole). ``auto_hash_aggregate``'s small-partials threshold does not
-    route either aggregate off that path (it would count, i.e. execute,
-    the stream mid-build)."""
+    (the combiner takes each block whole)."""
     import ray.data as rd
 
     blocks = _triples()
@@ -99,7 +95,6 @@ def test_hot_key_edges_match_reference(ray_session, monkeypatch,
         return real(ds, key_cols, agg_spec)
 
     monkeypatch.setattr(canonicalize, "sorted_hash_aggregate", spy)
-    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", small_partials)
     edges = canonicalize.aggregate_edges(rd.from_arrow(blocks)).materialize()
     assert _edges(edges) == ref
     entities = sorted((r["entity_id"], r["mention_count"]) for r in
@@ -132,7 +127,6 @@ def test_many_small_blocks_are_coalesced_before_the_exchange(ray_session,
         return real(ds, key_cols, agg_spec)
 
     monkeypatch.setattr(groupagg, "sorted_hash_aggregate", spy)
-    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", 0)
     monkeypatch.setattr(groupagg, "combine_batch_size", lambda: batch)
     ds = rd.from_arrow([
         pa.table({"k": [f"k{(b * block_rows + i) % 1500}"

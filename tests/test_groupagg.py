@@ -89,14 +89,15 @@ def test_sorted_hash_aggregate_rejects_nonreaggregatable(ray_session):
         sorted_hash_aggregate(ds, ["k"], [("w", "mean")])
 
 
-@pytest.mark.parametrize("small_partials", [500_000, 1])
-def test_auto_hash_aggregate_both_paths_match_reference(ray_session,
-                                                        monkeypatch,
-                                                        small_partials):
-    """Observed-cardinality dispatch (VERDICT r2 #3): the no-sort small path
-    and the sorted-block fallback must agree with the single-process
-    reference regardless of which side of the threshold fires."""
+@pytest.mark.parametrize("n_keys", [41, None], ids=["41-keys",
+                                                     "distinct-keys"])
+def test_auto_hash_aggregate_one_plan_matches_reference(ray_session,
+                                                        monkeypatch, n_keys):
+    """Few keys or every key distinct, the pre-combine feeds exactly one
+    ``sorted_hash_aggregate`` and the result is materialized and equals the
+    single-process reference."""
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
     from chinese_open_relation_extraction_for_entgraph_ray.stages import groupagg
 
@@ -108,15 +109,16 @@ def test_auto_hash_aggregate_both_paths_match_reference(ray_session,
         return real(*args)
 
     monkeypatch.setattr(groupagg, "sorted_hash_aggregate", spy)
-    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", small_partials)
-    rows = [{"k": f"key{i % 41}", "aux": i % 3, "w": i, "m": -i}
+    rows = [{"k": f"key{i % n_keys if n_keys else i}", "aux": i % 3,
+             "w": i, "m": -i}
             for i in range(3000)]
     ds = rd.from_items(rows).repartition(5).map_batches(
         lambda b: b, batch_format="pyarrow")
     spec = [("w", "sum"), ("m", "min")]
-    got = sorted(groupagg.auto_hash_aggregate(ds, ["k", "aux"], spec)
-                 .take_all(), key=lambda r: (str(r["k"]), str(r["aux"])))
+    out = groupagg.auto_hash_aggregate(ds, ["k", "aux"], spec)
+    assert isinstance(out, MaterializedDataset)
+    got = sorted(out.take_all(), key=lambda r: (str(r["k"]), str(r["aux"])))
     want = _reference(rows, ["k", "aux"], spec)
+    assert len(want) == (123 if n_keys else 3000)
     assert [dict(g) for g in got] == want
-    # the constant is read at call time: patching it picks the path
-    assert calls == ([] if small_partials == 500_000 else [["k", "aux"]])
+    assert calls == [["k", "aux"]]
