@@ -183,4 +183,19 @@ def auto_hash_aggregate(ds, key_cols: list[str],
 
     partials = ds.map_batches(precombine, batch_format="pyarrow",
                               batch_size=combine_batch_size())
-    return sorted_hash_aggregate(partials, key_cols, agg_spec).materialize()
+    out = sorted_hash_aggregate(partials, key_cols, agg_spec)
+    # The sort runs in the same execution as ds's lazy upstream.  Ray
+    # Data's operator reservation would hold a CPU share for each sort
+    # operator, idle until the upstream ends, and slow the upstream maps
+    # (BASELINE.md "One aggregate plan"); build_kg's stage() turns it off
+    # for the same reason.  Only this execution runs without it: ds's
+    # lineage shares the context, and the result gets a copy of it.
+    ctx = out.context
+    reserve = ctx.op_resource_reservation_enabled
+    ctx.op_resource_reservation_enabled = False
+    try:
+        out = out.materialize()
+    finally:
+        ctx.op_resource_reservation_enabled = reserve
+    out.context.op_resource_reservation_enabled = reserve
+    return out

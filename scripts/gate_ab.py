@@ -39,6 +39,8 @@ def run_gate(tree: str, sf_dir: str | None, out: str) -> dict:
     an error (the run's full stderr is echoed to ours)."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+    if os.path.exists(out):   # a kept work dir's report of an earlier run
+        os.remove(out)
     proc = subprocess.run(
         [sys.executable, "scripts/check_correctness.py", "--json", out]
         + ([sf_dir] if sf_dir else []),

@@ -7,7 +7,6 @@ import random
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pytest
 
 from chinese_open_relation_extraction_for_entgraph_ray.stages import (
     canonicalize,
@@ -72,23 +71,16 @@ def _entities_reference(edges: list[tuple]) -> list[tuple]:
     return sorted(total.items())
 
 
-@pytest.mark.parametrize("small_partials", [500_000, 0],
-                         ids=["500000", "0"])
-def test_hot_key_edges_match_reference(ray_session, monkeypatch,
-                                       small_partials):
+def test_hot_key_edges_match_reference(ray_session, monkeypatch):
     """Half of the fine rows carry one key; edges and entities equal the
     single-process group-by on the one sorted path, and the hot key reaches
     the edges sort from several input blocks — at most once per block
-    (the combiner takes each block whole).  The deleted small-partials
-    threshold stays deleted: ``groupagg`` has no ``AUTO_SMALL_PARTIALS``,
-    and setting one (its old default, or 0) routes neither aggregate off
-    that path."""
+    (the combiner takes each block whole).  ``groupagg`` has no
+    small-partials threshold that could route either aggregate off that
+    path."""
     import ray.data as rd
 
     assert not hasattr(groupagg, "AUTO_SMALL_PARTIALS")
-    monkeypatch.setattr(groupagg, "AUTO_SMALL_PARTIALS", small_partials,
-                        raising=False)
-
     blocks = _triples()
     ref = _reference(blocks)
     hot = [e for e in ref if e[:5] == tuple(v or "" for v in HOT)]
