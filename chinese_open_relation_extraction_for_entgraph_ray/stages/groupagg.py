@@ -169,8 +169,8 @@ def auto_hash_aggregate(ds, key_cols: list[str],
     the exchange sees one row per (batch, distinct key) in
     ~rows / combine_batch_size() blocks, however fragmented the input, so a
     hot key needs no salting (BASELINE.md, "KG aggregate plan robustness").
-    The result is materialized: joins read their inputs' ``schema()`` or
-    ``count()``, which on a lazy result re-runs the whole upstream, and a
+    The result is materialized: joins read their inputs' schema or row
+    count, which on a lazy result re-runs the whole upstream, and a
     materialized right side lets ``lookup_join`` / ``semi_join`` broadcast.
 
     Same exactness contract as :func:`sorted_hash_aggregate` (re-aggregatable
