@@ -41,8 +41,8 @@ logger = logging.getLogger(__name__)
 #: the standard broadcast-small-side trade — while each distributed round
 #: costs a fixed ~10 Dataset ops regardless of size.  Identical outputs
 #: are pinned by an A/B pytest.  At 64 B/pair this is ~64 MB of driver
-#: heap; raise/lower to taste, or pass local_threshold=0 to force the
-#: distributed path.
+#: heap; read at call time, so setting it to 0 forces the distributed
+#: path.
 LOCAL_CC_THRESHOLD = 1_000_000
 
 
@@ -103,22 +103,20 @@ def _exact_label_sum(labels_ds) -> int:
 
 
 def connected_components(pairs_ds, *, a: str = "a", b: str = "b",
-                         max_iters: int = 20,
-                         local_threshold: int = LOCAL_CC_THRESHOLD):
+                         max_iters: int = 20):
     """(a, b) pair Dataset -> (node, component) Dataset, component = the
     minimum node id in the node's connected component.
 
     Only nodes that appear in at least one pair are returned (isolated
     nodes have no duplicate to resolve).  Pair sets at or below
-    ``local_threshold`` take the local union-find path (see
-    ``LOCAL_CC_THRESHOLD``); larger ones run the distributed min-label +
-    pointer-jumping rounds.  Raises RuntimeError if ``max_iters`` rounds
+    ``LOCAL_CC_THRESHOLD`` take the local union-find path; larger ones
+    run the distributed min-label + pointer-jumping rounds.  Raises RuntimeError if ``max_iters`` rounds
     don't converge (pointer jumping makes that ~2^max_iters-long chains —
     unreachable in practice)."""
     from .groupagg import auto_hash_aggregate
     from .joins import lookup_join
 
-    if local_threshold and pairs_ds.count() <= local_threshold:
+    if LOCAL_CC_THRESHOLD and pairs_ds.count() <= LOCAL_CC_THRESHOLD:
         return _local_components(pairs_ds, a, b)
 
     # symmetric neighbor stream (src, dst): each edge in both directions
@@ -185,8 +183,7 @@ def connected_components(pairs_ds, *, a: str = "a", b: str = "b",
         batch_format="pyarrow")
 
 
-def connected_components_str(pairs_ds, *, a: str = "a", b: str = "b",
-                             **cc_kwargs):
+def connected_components_str(pairs_ds, *, a: str = "a", b: str = "b"):
     """Connected components over STRING-keyed pairs (predicates, URLs,
     entity surfaces): ``(a, b)`` string pair Dataset -> ``(node,
     component)`` Dataset where ``component`` is the lexicographically
@@ -230,7 +227,7 @@ def connected_components_str(pairs_ds, *, a: str = "a", b: str = "b",
                                         ("component", pa.string())])
                              .empty_table())
     comp = connected_components(hashed.select_columns(["ha", "hb"]),
-                                a="ha", b="hb", **cc_kwargs)
+                                a="ha", b="hb")
 
     # (node_hash, node_str) vocabulary from both endpoint columns
     def endpoints(batch: pa.Table) -> pa.Table:

@@ -4,8 +4,8 @@ the reference itself stops at edge extraction, so these are
 downstream-capability operators, not ports): PageRank, personalized
 (weighted) PageRank, HITS hubs/authorities, k-core / k-truss
 decomposition, triangle enumeration, seeded label propagation, and
-multi-source BFS distances.  PageRank's shape,
-documented below, is the template the others follow.
+multi-source BFS distances.  PageRank's join path, documented below, is
+the template the others follow.
 
 Per iteration (all Dataset operators — no driver-side graph state):
 
@@ -24,47 +24,73 @@ an aggregate, never collected).  Out-degrees are attached once up front.
 Partitioning assumption: like any keyed aggregate — one node's incident
 edges fit in a worker.
 
-Dispatch: every Dataset execution costs ~0.5-1.5 s fixed in this runtime,
-and the join path pays ~6 executions PER ROUND — on a small graph that
-fixed cost dwarfs the work (measured: 4 rounds over a 109-node graph =
-210 s).  So ``pagerank`` dispatches on the OBSERVED graph size: when node
-count and edge count fit the broadcast bounds, the rank vector lives on the
-driver and is broadcast via ``ray.put`` each round — edges still stream through ONE distributed
-map_batches per round (per-block sparse pre-combined contributions; only
-O(n_nodes)-bounded partials return to the driver).  Larger graphs take the
-all-Dataset join path unchanged.
+Dispatch: every link-analysis operator here (``pagerank``,
+``personalized_pagerank``, ``label_propagation``, ``hits``) has two tiers.
+When the materialized edges (plus the seeds) fit ``LOCAL_MAX_BYTES``, the
+LOCAL tier (``_local_graph``) pulls them to the driver ONCE, indexes the
+nodes with Arrow kernels and runs every round as numpy ``bincount`` passes:
+no per-round Ray execution, and one fixed summation order, so the result
+is bit-identical across block layouts.  Larger graphs take the join
+path above, which pays ~6 executions per round but holds no graph
+state on the driver.  On 4 CPUs the local tier beat the old per-round
+broadcast tier at every size from 15k to 5M edges (BASELINE.md "One
+small-graph tier").
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-# Broadcast-path bounds: the rank vector (8 B/node) must broadcast cheaply
-# and the per-round sparse partials (<= blocks x distinct-dst, each bounded
-# by n_nodes) must fit the driver.  Beyond either bound the join path's
-# per-round distributed aggregate is the right trade.
-BROADCAST_MAX_NODES = 200_000
-BROADCAST_MAX_EDGES = 50_000_000
-#: HITS driver-local sub-path bounds: the RAW string (src, dst) pairs are
-#: pulled to the driver once instead of 2*iters distributed half-round
-#: scans, so both the row count AND the byte size must be bounded — long
-#: node ids (entity surfaces, document keys) make a row-count bound alone
-#: unbounded in bytes (see hits()).
-HITS_DRIVER_EDGES = 2_000_000
-HITS_DRIVER_BYTES = 256 * 1024 * 1024
+#: Byte bound of the local tier: the materialized edges (plus seeds) of a
+#: link-analysis operator are pulled to the driver when they fit, else the
+#: join path runs.  Read at call time; 0 forces the join path.
+LOCAL_MAX_BYTES = 256 * 1024 * 1024
+#: Column types of a pulled Dataset that has no block to read them from.
+_EMPTY_COLUMNS = {"src": pa.string(), "dst": pa.string(),
+                  "w": pa.float64(), "node": pa.string(),
+                  "label": pa.int64()}
+
+
+def _local_graph(edges, seeds=None):
+    """The local tier's one pull.  ``None`` when the materialized ``edges``
+    (columns ``src``, ``dst`` [, ``w``]) and ``seeds`` (``node``,
+    ``label``) exceed ``LOCAL_MAX_BYTES``; else ``(nodes, si, di,
+    edge_table, seed_table)``: ``nodes`` the sorted distinct ids of the
+    edge endpoints and seed nodes (Arrow ``unique`` +
+    ``array_sort_indices``), ``si`` / ``di`` the int64 index in ``nodes``
+    of every edge's ``src`` / ``dst`` (``index_in``), in edge order."""
+    import pyarrow.compute as pc
+
+    def pull(ds) -> pa.Table:
+        parts = list(ds.iter_batches(batch_format="pyarrow"))
+        return (pa.concat_tables(parts) if parts
+                else pa.schema(_EMPTY_COLUMNS).empty_table())
+
+    pulled = [edges] + ([seeds] if seeds is not None else [])
+    if sum(ds.size_bytes() for ds in pulled) > LOCAL_MAX_BYTES:
+        return None
+    tables = [pull(ds) for ds in pulled]
+    src, dst = (tables[0].column(c).combine_chunks() for c in ("src", "dst"))
+    ends = [src, dst] + [t.column("node").combine_chunks().cast(src.type)
+                         for t in tables[1:]]
+    uniq = pc.unique(pa.concat_arrays(ends))
+    nodes = uniq.take(pc.array_sort_indices(uniq))
+    si, di = (pc.index_in(a, value_set=nodes).cast(pa.int64()).to_numpy()
+              for a in (src, dst))
+    return nodes, si, di, tables[0], (tables[1] if seeds is not None else None)
 
 
 def pagerank(edges_ds, *, src: str = "src", dst: str = "dst",
              damping: float = 0.85, iters: int = 8,
-             tol: float | None = 1e-6,
-             broadcast_max_nodes: int = BROADCAST_MAX_NODES,
-             broadcast_max_edges: int = BROADCAST_MAX_EDGES):
+             tol: float | None = 1e-6):
     """(src, dst) edge Dataset -> (node, rank) Dataset (ranks sum to ~1).
 
     ``iters`` bounds the rounds; ``tol`` (L1 delta) stops early when set.
-    Deterministic for a given input and parameters; both dispatch paths
-    produce identical ranks (same update rule, float64 throughout)."""
+    Deterministic for a given input and parameters; the local tier and
+    the join path run the same update rule in float64 (they differ only
+    in summation order)."""
     import numpy as np
+    import ray.data as rd
 
     from ray.data.aggregate import Sum
 
@@ -76,6 +102,28 @@ def pagerank(edges_ds, *, src: str = "src", dst: str = "dst",
             [t.column(src).cast(pa.string()), t.column(dst).cast(pa.string())],
             names=["src", "dst"]),
         batch_format="pyarrow").materialize()
+
+    local = _local_graph(edges)
+    if local is not None:
+        node_arr, si, di, _, _ = local
+        size = len(node_arr)
+        n_nodes = max(size, 1)          # an empty graph divides nothing
+        outdeg = np.bincount(si, minlength=size).astype(np.float64)
+        safe_out = np.where(outdeg > 0, outdeg, 1.0)
+        dangling_mask = outdeg == 0
+        rank = np.full(size, 1.0 / n_nodes)
+        base = (1.0 - damping) / n_nodes
+        for _ in range(iters):
+            dangling = float(rank[dangling_mask].sum())
+            contrib = np.bincount(di, weights=(rank / safe_out)[si],
+                                  minlength=size)
+            new = base + damping * (contrib + dangling / n_nodes)
+            l1 = float(np.abs(new - rank).sum())
+            rank = new
+            if tol is not None and l1 < tol:
+                break
+        return rd.from_arrow(pa.Table.from_arrays(
+            [node_arr, pa.array(rank, pa.float64())], names=["node", "rank"]))
 
     # node list = distinct src ∪ dst; out-degree per src
     def endpoints(t: pa.Table) -> pa.Table:
@@ -98,10 +146,6 @@ def pagerank(edges_ds, *, src: str = "src", dst: str = "dst",
             lambda t: pa.schema([("node", pa.string()),
                                  ("rank", pa.float64())]).empty_table(),
             batch_format="pyarrow")
-    if (n_nodes <= broadcast_max_nodes
-            and edges.count() <= broadcast_max_edges):
-        return _pagerank_broadcast(edges, nodes, n_nodes,
-                                   damping=damping, iters=iters, tol=tol)
     # read twice: the join fetches its schema, then joins it
     outdeg = sorted_hash_aggregate(
         edges.map_batches(
@@ -182,81 +226,6 @@ def pagerank(edges_ds, *, src: str = "src", dst: str = "dst",
                              batch_format="pyarrow")
 
 
-def _pagerank_broadcast(edges, nodes, n_nodes: int, *, damping: float,
-                        iters: int, tol: float | None):
-    """Small-graph fast path: rank vector on the driver, broadcast per round
-    via ``ray.put``; edges stream through ONE distributed map_batches per
-    round emitting per-block sparse (dst_idx, contrib) partials pre-combined
-    by ``np.bincount`` — the driver only folds O(n_nodes)-bounded partials.
-
-    Entered only when n_nodes <= BROADCAST_MAX_NODES and edge count <=
-    BROADCAST_MAX_EDGES (checked on the OBSERVED materialized sizes by the
-    dispatcher); identical update rule and float64 math as the join path."""
-    import numpy as np
-    import ray
-
-    node_arr = [r["node"] for r in nodes.take_all()]     # <= max_nodes rows
-    index = {v: i for i, v in enumerate(node_arr)}
-    index_ref = ray.put(index)
-
-    def to_idx(t: pa.Table) -> pa.Table:
-        idx = ray.get(index_ref)
-        si = np.fromiter((idx[s] for s in t.column("src").to_pylist()),
-                         np.int64, t.num_rows)
-        di = np.fromiter((idx[d] for d in t.column("dst").to_pylist()),
-                         np.int64, t.num_rows)
-        return pa.Table.from_arrays(
-            [pa.array(si, pa.int64()), pa.array(di, pa.int64())],
-            names=["src_idx", "dst_idx"])
-
-    idx_edges = edges.map_batches(to_idx,
-                                  batch_format="pyarrow").materialize()
-
-    def sparse_outdeg(t: pa.Table) -> pa.Table:
-        u, c = np.unique(t.column("src_idx").to_numpy(), return_counts=True)
-        return pa.Table.from_arrays(
-            [pa.array(u, pa.int64()), pa.array(c.astype(np.float64))],
-            names=["i", "c"])
-
-    outdeg = np.zeros(n_nodes, dtype=np.float64)
-    for row in idx_edges.map_batches(sparse_outdeg,
-                                     batch_format="pyarrow").take_all():
-        outdeg[row["i"]] += row["c"]
-
-    safe_out = np.where(outdeg > 0, outdeg, 1.0)
-    dangling_mask = outdeg == 0
-    rank = np.full(n_nodes, 1.0 / n_nodes)
-    base = (1.0 - damping) / n_nodes
-    for _ in range(iters):
-        dangling = float(rank[dangling_mask].sum())
-        w_ref = ray.put(rank / safe_out)
-
-        def contrib_fn(t: pa.Table, _ref=w_ref) -> pa.Table:
-            w = ray.get(_ref)
-            di = t.column("dst_idx").to_numpy()
-            si = t.column("src_idx").to_numpy()
-            u, inv = np.unique(di, return_inverse=True)
-            c = np.bincount(inv, weights=w[si])
-            return pa.Table.from_arrays(
-                [pa.array(u, pa.int64()), pa.array(c, pa.float64())],
-                names=["i", "c"])
-
-        contrib = np.zeros(n_nodes, dtype=np.float64)
-        for row in idx_edges.map_batches(contrib_fn,
-                                         batch_format="pyarrow").take_all():
-            contrib[row["i"]] += row["c"]
-        new = base + damping * (contrib + dangling / n_nodes)
-        l1 = float(np.abs(new - rank).sum())
-        rank = new
-        if tol is not None and l1 < tol:
-            break
-    import ray.data as rd
-
-    return rd.from_arrow(pa.Table.from_arrays(
-        [pa.array(node_arr, pa.string()), pa.array(rank, pa.float64())],
-        names=["node", "rank"]))
-
-
 def k_core(edges_ds, k: int = 3, *, a: str = "a", b: str = "b",
            max_rounds: int = 32):
     """Iterative k-core peel over an undirected distinct-pair edge list
@@ -324,51 +293,40 @@ def k_core(edges_ds, k: int = 3, *, a: str = "a", b: str = "b",
 
 
 def label_propagation(edges_ds, seeds_ds, *, rounds: int = 4,
-                      max_label: int = 1 << 20,
-                      broadcast_max_nodes: int = BROADCAST_MAX_NODES,
-                      broadcast_max_edges: int = BROADCAST_MAX_EDGES):
+                      max_label: int = 1 << 20):
     """Synchronous seeded label propagation over an undirected
     distinct-pair edge list (columns ``a``, ``b``) — the semi-supervised
     labeling primitive for corpus curation (spread a small seed set's
     labels over a mutual-kNN / co-occurrence graph).  ``seeds_ds`` has
     columns (node, label); labels are non-negative ints < ``max_label``.
 
-    Per synchronous round, fully distributed:
-    - attach current labels to edge SOURCES via ONE keyed lookup join
-      (edges pre-exploded both directions, so each edge votes both ways),
-    - ONE pre-combined (dst, label) vote-count aggregate,
-    - per-dst argmax with (count desc, label asc) tie-break as a
-      composite-int64 MAX aggregate — enc = n·2^21 + (max_label − label),
-      no per-group Python and no second exchange,
-    - non-seed nodes take the argmax (seeds never change) via one anti
-      semi-join; unreached nodes stay unlabeled (absent).
+    Per synchronous round, every edge votes both ways: a node takes the
+    per-node argmax of its labeled neighbors' labels with (count desc,
+    label asc) tie-break, encoded as one composite int64 max — enc =
+    n·2^21 + (max_label − label).  Seeds never change; unreached nodes
+    stay unlabeled (absent).
 
     Labeled coverage grows monotonically (labels never vanish), so
     ``rounds`` bounds propagation RADIUS only — deterministic and
     partition-invariant, mirrorable by an unrolled fixed-round SQL CTE
     chain.  Returns (node, label, is_seed).
 
-    Dispatch (same rule as ``pagerank``/``hits``): under the observed
-    broadcast bounds the label vector lives on the driver and edges
-    stream through ONE sparse pre-combined map_batches per round (exact
-    integer vote counts + the same composite argmax encoding, so both
-    paths are BIT-identical); larger graphs take the all-Dataset join
-    path."""
+    Two tiers, as in ``pagerank``: the local tier counts the votes with
+    numpy over the pulled edges and seeds (exact integer counts, the same
+    composite encoding, so both tiers are BIT-identical); the join path
+    runs, per round, ONE keyed lookup join attaching labels to edge
+    sources, ONE pre-combined (dst, label) vote-count aggregate, the
+    composite MAX aggregate and one anti semi-join against the seeds."""
     import numpy as np
     import pyarrow.compute as pc
+    import ray.data as rd
 
     from .groupagg import auto_hash_aggregate
     from .joins import lookup_join, semi_join
 
-    def both_dirs(t: pa.Table) -> pa.Table:
-        u = pa.concat_arrays([t.column("a").combine_chunks(),
-                              t.column("b").combine_chunks()])
-        v = pa.concat_arrays([t.column("b").combine_chunks(),
-                              t.column("a").combine_chunks()])
-        return pa.Table.from_arrays([u, v], names=["src", "dst"])
-
-    und = edges_ds.map_batches(
-        both_dirs, batch_format="pyarrow").materialize()
+    edges = edges_ds.map_batches(
+        lambda t: t.select(["a", "b"]).rename_columns(["src", "dst"]),
+        batch_format="pyarrow").materialize()
 
     def seed_canon(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -378,101 +336,54 @@ def label_propagation(edges_ds, seeds_ds, *, rounds: int = 4,
 
     seeds = seeds_ds.map_batches(
         seed_canon, batch_format="pyarrow").materialize()
-    labels = seeds
 
-    # --- dispatch: broadcast fast path under the observed bounds --------
-    def node_rows(t: pa.Table, col: str) -> pa.Table:
-        return pa.Table.from_arrays(
-            [t.column(col).combine_chunks(),
-             pa.array(np.ones(t.num_rows, dtype=np.int64))],
-            names=["node", "n"])
-
-    # node universe = edge endpoints ∪ seed nodes (an isolated seed still
-    # appears in the output, exactly as seeds ∪ propagated does)
-    nodes = auto_hash_aggregate(
-        und.map_batches(lambda t: node_rows(t, "src"),
-                        batch_format="pyarrow")
-        .union(seeds.map_batches(lambda t: node_rows(t, "node"),
-                                 batch_format="pyarrow")),
-        ["node"], [("n", "sum")])
-    n_nodes = nodes.count()
-    if (n_nodes <= broadcast_max_nodes
-            and und.count() <= broadcast_max_edges):
-        import ray
-        import ray.data as rd
-
-        node_arr = [r["node"] for r in nodes.take_all()]
-        index = {v: i for i, v in enumerate(node_arr)}
-        index_ref = ray.put(index)
-
-        def to_idx(t: pa.Table) -> pa.Table:
-            idx = ray.get(index_ref)
-            si = np.fromiter((idx[s] for s in t.column("src").to_pylist()),
-                             np.int64, t.num_rows)
-            di = np.fromiter((idx[d] for d in t.column("dst").to_pylist()),
-                             np.int64, t.num_rows)
-            return pa.Table.from_arrays(
-                [pa.array(si, pa.int64()), pa.array(di, pa.int64())],
-                names=["src_idx", "dst_idx"])
-
-        idx_edges = und.map_batches(
-            to_idx, batch_format="pyarrow").materialize()
-
-        lab_vec = np.full(n_nodes, -1, dtype=np.int64)
-        seed_mask = np.zeros(n_nodes, dtype=bool)
-        for r in seeds.take_all():          # <= n_nodes rows by the bound
-            lab = int(r["label"])
-            if not (0 <= lab < max_label):
-                raise ValueError(
-                    f"label_propagation: labels must be in "
-                    f"[0, {max_label}) — got {lab}")
-            i = index[r["node"]]
-            lab_vec[i] = lab
-            seed_mask[i] = True
-        seed_lab = lab_vec.copy()
+    local = _local_graph(edges, seeds)
+    if local is not None:
+        node_arr, si, di, _, seed_tbl = local
+        n_nodes = len(node_arr)
+        seed_lab = seed_tbl.column("label").combine_chunks()
+        if len(seed_lab) and (pc.min(seed_lab).as_py() < 0
+                              or pc.max(seed_lab).as_py() >= max_label):
+            raise ValueError(
+                f"label_propagation: labels must be in [0, {max_label}) "
+                f"— got [{pc.min(seed_lab).as_py()}, "
+                f"{pc.max(seed_lab).as_py()}]")
+        ki = pc.index_in(seed_tbl.column("node").combine_chunks().cast(
+            node_arr.type), value_set=node_arr).cast(pa.int64()).to_numpy()
+        seed_vec = np.full(n_nodes, -1, dtype=np.int64)
+        seed_vec[ki] = seed_lab.to_numpy()
+        seed_mask = seed_vec >= 0
+        # every edge votes both ways: src -> dst and dst -> src
+        frm, to = np.concatenate([si, di]), np.concatenate([di, si])
         two_ml = np.int64(2 * max_label)
-
-        def vote_partial(t: pa.Table, _ref) -> pa.Table:
-            lv = ray.get(_ref)
-            src_lab = lv[t.column("src_idx").to_numpy()]
-            m = src_lab >= 0
-            keys = t.column("dst_idx").to_numpy()[m] * two_ml \
-                + src_lab[m]
-            u, c = np.unique(keys, return_counts=True)
-            return pa.Table.from_arrays(
-                [pa.array(u, pa.int64()),
-                 pa.array(c.astype(np.int64))],
-                names=["key", "n"])
-
+        lab_vec = seed_vec
         for _ in range(rounds):
-            ref = ray.put(lab_vec)
-            ks, cs = [], []
-            for row in idx_edges.map_batches(
-                    lambda t, _r=ref: vote_partial(t, _r),
-                    batch_format="pyarrow").take_all():
-                ks.append(row["key"])
-                cs.append(row["n"])
-            new_vec = np.where(seed_mask, seed_lab, np.int64(-1))
-            if ks:
-                keys = np.asarray(ks, dtype=np.int64)
-                cnts = np.asarray(cs, dtype=np.int64)
-                u, inv = np.unique(keys, return_inverse=True)
-                tot = np.bincount(inv, weights=cnts).astype(np.int64)
-                dsts = u // two_ml
-                labs = u % two_ml
-                # same composite argmax encoding as the join path
-                enc = tot * two_ml + (np.int64(max_label) - labs)
-                best = np.full(n_nodes, -1, dtype=np.int64)
-                np.maximum.at(best, dsts, enc)
-                won = (best >= 0) & ~seed_mask
-                new_vec[won] = np.int64(max_label) - best[won] % two_ml
-            lab_vec = new_vec
-        out = lab_vec >= 0
+            src_lab = lab_vec[frm]
+            m = src_lab >= 0
+            keys, n = np.unique(to[m] * two_ml + src_lab[m],
+                                return_counts=True)
+            # the join path's composite argmax encoding, per node
+            best = np.full(n_nodes, -1, dtype=np.int64)
+            np.maximum.at(best, keys // two_ml,
+                          n * two_ml + (np.int64(max_label) - keys % two_ml))
+            lab_vec = seed_vec.copy()
+            won = (best >= 0) & ~seed_mask
+            lab_vec[won] = np.int64(max_label) - best[won] % two_ml
+        out = np.nonzero(lab_vec >= 0)[0]
         return rd.from_arrow(pa.Table.from_arrays(
-            [pa.array([node_arr[i] for i in np.nonzero(out)[0]]),
-             pa.array(lab_vec[out], pa.int64()),
+            [node_arr.take(pa.array(out)), pa.array(lab_vec[out], pa.int64()),
              pa.array(seed_mask[out])],
             names=["node", "label", "is_seed"]))
+
+    def both_dirs(t: pa.Table) -> pa.Table:
+        u = pa.concat_arrays([t.column("src").combine_chunks(),
+                              t.column("dst").combine_chunks()])
+        v = pa.concat_arrays([t.column("dst").combine_chunks(),
+                              t.column("src").combine_chunks()])
+        return pa.Table.from_arrays([u, v], names=["src", "dst"])
+
+    und = edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
+    labels = seeds
 
     def to_votes(t: pa.Table) -> pa.Table:
         lab = t.column("label")
@@ -526,68 +437,22 @@ def label_propagation(edges_ds, seeds_ds, *, rounds: int = 4,
     return labels
 
 
-def _hits_driver_local(edges, iters: int, broadcast_max_nodes: int):
-    """HITS fast tier for edge lists already verified <= HITS_DRIVER_EDGES:
-    one streamed pull of the (src, dst) pairs, Arrow-vectorized node
-    indexing (sorted unique + index_in), and 2*iters local np.bincount
-    half-rounds.  Returns None when the observed node count exceeds the
-    broadcast bound (caller falls through to the distributed tiers)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    parts = [b for b in edges.iter_batches(batch_format="pyarrow")
-             if b.num_rows]
-    if not parts:
-        return __import__("ray").data.from_arrow(pa.schema(
-            [("node", pa.string()), ("hub", pa.float64()),
-             ("authority", pa.float64())]).empty_table())
-    tbl = pa.concat_tables(parts)
-    src_a = tbl.column("src").combine_chunks()
-    dst_a = tbl.column("dst").combine_chunks()
-    uniq = pc.unique(pa.concat_arrays([src_a, dst_a]))
-    node_arr = uniq.take(pc.array_sort_indices(uniq))
-    n_nodes = len(node_arr)
-    if n_nodes > broadcast_max_nodes:
-        return None
-    si = pc.index_in(src_a, value_set=node_arr).to_numpy()
-    di = pc.index_in(dst_a, value_set=node_arr).to_numpy()
-
-    def half(w, frm, to):
-        out = np.bincount(to, weights=w[frm], minlength=n_nodes)
-        s = float(out.sum())
-        return out / s if s > 0 else out
-
-    hub = np.full(n_nodes, 1.0 / n_nodes)
-    authority = np.zeros(n_nodes)
-    for _ in range(iters):
-        authority = half(hub, si, di)
-        hub = half(authority, di, si)
-    import ray.data as rd
-
-    return rd.from_arrow(pa.Table.from_arrays(
-        [node_arr, pa.array(hub, pa.float64()),
-         pa.array(authority, pa.float64())],
-        names=["node", "hub", "authority"]))
-
-
-def hits(edges_ds, *, src: str = "src", dst: str = "dst", iters: int = 4,
-         broadcast_max_nodes: int = BROADCAST_MAX_NODES,
-         broadcast_max_edges: int = BROADCAST_MAX_EDGES):
+def hits(edges_ds, *, src: str = "src", dst: str = "dst", iters: int = 4):
     """HITS hubs & authorities (Kleinberg 1999) over a directed edge
     stream, L1-normalized per half-round, fixed ``iters`` rounds:
 
         a_raw(v) = sum over edges (u -> v) of h(u);  a = a_raw / Σ a_raw
         h_raw(u) = sum over edges (u -> v) of a(v);  h = h_raw / Σ h_raw
 
-    Same dual dispatch as ``pagerank`` (this module's link-analysis
-    sibling): when the OBSERVED node/edge counts fit the broadcast bounds
-    the hub/authority vectors live on the driver and edges stream through
-    ONE sparse pre-combined map_batches per half-round; larger graphs take
-    the all-Dataset path — per half-round ONE keyed lookup join + ONE
-    fused carrier/contribution sorted aggregate (the pagerank ride-along
+    Same two tiers as ``pagerank`` (this module's link-analysis sibling):
+    the local tier runs the 2*iters half-rounds as numpy ``bincount``
+    passes over the pulled edges; larger graphs take the all-Dataset path
+    — per half-round ONE keyed lookup join + ONE fused
+    carrier/contribution sorted aggregate (the pagerank ride-along
     pattern) + one scalar Sum for the normalizer.  Deterministic float64;
     returns (node, hub, authority)."""
     import numpy as np
+    import ray.data as rd
 
     from ray.data.aggregate import Sum
 
@@ -601,29 +466,25 @@ def hits(edges_ds, *, src: str = "src", dst: str = "dst", iters: int = 4,
             names=["src", "dst"]),
         batch_format="pyarrow").materialize()
 
-    # Driver-local fast tier: HITS alternates two strictly dependent
-    # half-rounds, so the distributed broadcast scheme below pays 2*iters
-    # full Dataset executions plus a node-sort exchange whose FIXED costs
-    # dominate on small graphs (measured 8.2 s for 4 rounds at sf0.1 — the
-    # largest non-dedup bench line in r4, VERDICT r4 next-round #3).  When
-    # the edge list itself fits comfortably on the driver
-    # (<= HITS_DRIVER_EDGES pairs), pull it ONCE and run node indexing +
-    # every half-round locally (vectorized Arrow/numpy): zero per-round Ray
-    # executions, and bit-stable across block layouts (one fixed summation
-    # order).  Skipped when the caller forces the join path
-    # (broadcast_max_nodes/edges overrides), and falls through if the
-    # observed node count exceeds the broadcast bound.
-    n_edges_obs = edges.count()
-    try:
-        edge_bytes = edges.size_bytes() or 0
-    except Exception:
-        edge_bytes = HITS_DRIVER_BYTES + 1     # unknown -> not eligible
-    if (broadcast_max_nodes > 0
-            and n_edges_obs <= min(HITS_DRIVER_EDGES, broadcast_max_edges)
-            and edge_bytes <= HITS_DRIVER_BYTES):
-        res = _hits_driver_local(edges, iters, broadcast_max_nodes)
-        if res is not None:
-            return res
+    local = _local_graph(edges)
+    if local is not None:
+        node_arr, si, di, _, _ = local
+        n_nodes = len(node_arr)
+
+        def half(w, frm, to):
+            out = np.bincount(to, weights=w[frm], minlength=n_nodes)
+            s = float(out.sum())
+            return out / s if s > 0 else out
+
+        hub = np.full(n_nodes, 1.0 / max(n_nodes, 1))
+        authority = np.zeros(n_nodes)
+        for _ in range(iters):
+            authority = half(hub, si, di)
+            hub = half(authority, di, si)
+        return rd.from_arrow(pa.Table.from_arrays(
+            [node_arr, pa.array(hub, pa.float64()),
+             pa.array(authority, pa.float64())],
+            names=["node", "hub", "authority"]))
 
     def endpoints(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -636,60 +497,10 @@ def hits(edges_ds, *, src: str = "src", dst: str = "dst", iters: int = 4,
         edges.map_batches(endpoints, batch_format="pyarrow"),
         ["node"], [("n", "sum")]).materialize()
     n_nodes = nodes.count()
-    out_schema = pa.schema([("node", pa.string()), ("hub", pa.float64()),
-                            ("authority", pa.float64())])
     if n_nodes == 0:
-        return __import__("ray").data.from_arrow(out_schema.empty_table())
-
-    if (n_nodes <= broadcast_max_nodes
-            and edges.count() <= broadcast_max_edges):
-        import ray
-
-        node_arr = [r["node"] for r in nodes.take_all()]
-        index_ref = ray.put({v: i for i, v in enumerate(node_arr)})
-
-        def to_idx(t: pa.Table) -> pa.Table:
-            idx = ray.get(index_ref)
-            si = np.fromiter((idx[s] for s in t.column("src").to_pylist()),
-                             np.int64, t.num_rows)
-            di = np.fromiter((idx[d] for d in t.column("dst").to_pylist()),
-                             np.int64, t.num_rows)
-            return pa.Table.from_arrays(
-                [pa.array(si, pa.int64()), pa.array(di, pa.int64())],
-                names=["src_idx", "dst_idx"])
-
-        idx_edges = edges.map_batches(
-            to_idx, batch_format="pyarrow").materialize()
-
-        def sparse_sum(weights_ref, from_col, to_col):
-            def fn(t: pa.Table, _ref=weights_ref) -> pa.Table:
-                w = ray.get(_ref)
-                u, inv = np.unique(t.column(to_col).to_numpy(),
-                                   return_inverse=True)
-                c = np.bincount(
-                    inv, weights=w[t.column(from_col).to_numpy()])
-                return pa.Table.from_arrays(
-                    [pa.array(u, pa.int64()), pa.array(c, pa.float64())],
-                    names=["i", "c"])
-            out = np.zeros(n_nodes, dtype=np.float64)
-            for row in idx_edges.map_batches(
-                    fn, batch_format="pyarrow").take_all():
-                out[row["i"]] += row["c"]
-            s = float(out.sum())
-            return out / s if s > 0 else out
-
-        hub = np.full(n_nodes, 1.0 / n_nodes)
-        authority = np.zeros(n_nodes)
-        for _ in range(iters):
-            authority = sparse_sum(ray.put(hub), "src_idx", "dst_idx")
-            hub = sparse_sum(ray.put(authority), "dst_idx", "src_idx")
-        import ray.data as rd
-
-        return rd.from_arrow(pa.Table.from_arrays(
-            [pa.array(node_arr, pa.string()),
-             pa.array(hub, pa.float64()),
-             pa.array(authority, pa.float64())],
-            names=["node", "hub", "authority"]))
+        return rd.from_arrow(pa.schema(
+            [("node", pa.string()), ("hub", pa.float64()),
+             ("authority", pa.float64())]).empty_table())
 
     # all-Dataset path: state = (node, hub, authority)
     state = nodes.map_batches(
@@ -755,9 +566,7 @@ def hits(edges_ds, *, src: str = "src", dst: str = "dst", iters: int = 4,
 def personalized_pagerank(edges_ds, restart_nodes: list[str], *,
                           src: str = "src", dst: str = "dst",
                           weight: str | None = None,
-                          damping: float = 0.85, iters: int = 4,
-                          broadcast_max_nodes: int = BROADCAST_MAX_NODES,
-                          broadcast_max_edges: int = BROADCAST_MAX_EDGES):
+                          damping: float = 0.85, iters: int = 4):
     """Personalized (weighted) PageRank — the standard KG related-entity
     relevance measure: random walk with restart to a seed distribution
     (uniform over ``restart_nodes``), edge weights from ``weight`` (float;
@@ -767,22 +576,33 @@ def personalized_pagerank(edges_ds, restart_nodes: list[str], *,
         rank'(v)   = (1-d)·r(v) + d·(contrib(v) + dangling_mass·r(v))
 
     (dangling mass restarts to r — the PPR convention, vs the uniform
-    spread of the global ``pagerank``).  Dual dispatch on the OBSERVED
-    graph size, like ``pagerank``: within the broadcast bounds the rank
-    vector lives on the driver (ray.put per round, ONE sparse
-    pre-combined map_batches per round — the ``_pagerank_broadcast``
-    shape); beyond them the all-Dataset join path runs the identical
-    recurrence with a seed column riding the rank table (carrier +
-    contribution fused aggregate per round — the ``pagerank`` join-path
-    shape with restart-to-seed instead of restart-to-uniform), so the
-    operator is available at any scale (VERDICT r4 #2).  Raises when ANY
+    spread of the global ``pagerank``).  Two tiers, like ``pagerank``:
+    the local tier iterates with numpy over the pulled edges and weights;
+    beyond ``LOCAL_MAX_BYTES`` the all-Dataset join path (``_ppr_join``)
+    runs the identical recurrence with a seed column riding the rank
+    table, so the operator is available at any scale.  Raises when ANY
     requested restart node is absent from the graph — a partially
     mistyped seed list must not silently renormalize over the remainder
-    (ADVICE r4).  Returns (node, rank)."""
+    (ADVICE r4), and an empty graph with requested seeds is the same
+    case.  Returns (node, rank)."""
     import numpy as np
     import pyarrow.compute as pc
+    import ray.data as rd
 
     from .groupagg import sorted_hash_aggregate
+
+    want = sorted(set(restart_nodes))
+    if not want:
+        raise ValueError("personalized_pagerank: empty restart_nodes")
+    want_arr = pa.array(want, pa.string())
+
+    def check_present(present) -> None:
+        missing = [s for s in want if s not in present]
+        if missing:
+            raise ValueError(
+                f"personalized_pagerank: restart node(s) not present in "
+                f"the graph: {missing} — no restart node is silently "
+                f"dropped (ADVICE r4)")
 
     cols = [src, dst] + ([weight] if weight else [])
 
@@ -798,6 +618,30 @@ def personalized_pagerank(edges_ds, restart_nodes: list[str], *,
     edges = edges_ds.select_columns(cols).map_batches(
         canon, batch_format="pyarrow").materialize()
 
+    local = _local_graph(edges)
+    if local is not None:
+        node_arr, si, di, edge_tbl, _ = local
+        n_nodes = len(node_arr)
+        check_present(set(node_arr.filter(
+            pc.is_in(node_arr, value_set=want_arr)).to_pylist()))
+        r_vec = np.zeros(n_nodes)
+        r_vec[pc.index_in(want_arr, value_set=node_arr).to_numpy()] = \
+            1.0 / len(want)
+        w = (edge_tbl.column("w").to_numpy() if weight
+             else np.ones(len(si)))
+        wout = np.bincount(si, weights=w, minlength=n_nodes)
+        safe_out = np.where(wout > 0, wout, 1.0)
+        dangling_mask = wout == 0
+        rank = r_vec.copy()
+        for _ in range(iters):
+            dangling = float(rank[dangling_mask].sum())
+            contrib = np.bincount(di, weights=(rank / safe_out)[si] * w,
+                                  minlength=n_nodes)
+            rank = (1.0 - damping) * r_vec \
+                + damping * (contrib + dangling * r_vec)
+        return rd.from_arrow(pa.Table.from_arrays(
+            [node_arr, pa.array(rank, pa.float64())], names=["node", "rank"]))
+
     def endpoints(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
             [pa.concat_arrays([t.column("src").combine_chunks(),
@@ -808,107 +652,21 @@ def personalized_pagerank(edges_ds, restart_nodes: list[str], *,
     nodes = sorted_hash_aggregate(
         edges.map_batches(endpoints, batch_format="pyarrow"),
         ["node"], [("n", "sum")]).materialize()
-    n_nodes = nodes.count()
-
-    # seed validation BEFORE dispatch AND before any empty-graph
-    # shortcut (an empty graph with requested seeds is the mistyped-seed
-    # case, not a quiet no-op); distributed and bounded — the filter
-    # returns at most len(restart_nodes) rows regardless of graph size
-    want = sorted(set(restart_nodes))
-    if not want:
-        raise ValueError("personalized_pagerank: empty restart_nodes")
-    want_arr = pa.array(want, pa.string())
+    # distributed and bounded: the filter returns at most len(want) rows
     present: set = set()
     for b in nodes.map_batches(
             lambda t: t.filter(pc.is_in(t.column("node"),
                                         value_set=want_arr)),
             batch_format="pyarrow").iter_batches(batch_format="pyarrow"):
         present.update(b.column("node").to_pylist())
-    missing = [s for s in want if s not in present]
-    if missing:
-        raise ValueError(
-            f"personalized_pagerank: restart node(s) not present in the "
-            f"graph: {missing} — no restart node is silently dropped "
-            f"(ADVICE r4)")
-    seeds = want
-
-    if (n_nodes > broadcast_max_nodes
-            or edges.count() > broadcast_max_edges):
-        return _ppr_join(edges, nodes, seeds, weighted=bool(weight),
-                         damping=damping, iters=iters)
-
-    import ray
-
-    node_arr = [r["node"] for r in nodes.take_all()]
-    index = {v: i for i, v in enumerate(node_arr)}
-    r_vec = np.zeros(n_nodes)
-    for s in seeds:
-        r_vec[index[s]] = 1.0 / len(seeds)
-    index_ref = ray.put(index)
-
-    def to_idx(t: pa.Table) -> pa.Table:
-        idx = ray.get(index_ref)
-        si = np.fromiter((idx[s] for s in t.column("src").to_pylist()),
-                         np.int64, t.num_rows)
-        di = np.fromiter((idx[d] for d in t.column("dst").to_pylist()),
-                         np.int64, t.num_rows)
-        w = (np.asarray(t.column("w"), dtype=np.float64) if weight
-             else np.ones(t.num_rows))
-        return pa.Table.from_arrays(
-            [pa.array(si, pa.int64()), pa.array(di, pa.int64()),
-             pa.array(w, pa.float64())],
-            names=["src_idx", "dst_idx", "w"])
-
-    idx_edges = edges.map_batches(to_idx,
-                                  batch_format="pyarrow").materialize()
-
-    def sparse_wout(t: pa.Table) -> pa.Table:
-        u, inv = np.unique(t.column("src_idx").to_numpy(),
-                           return_inverse=True)
-        c = np.bincount(inv, weights=t.column("w").to_numpy())
-        return pa.Table.from_arrays(
-            [pa.array(u, pa.int64()), pa.array(c, pa.float64())],
-            names=["i", "c"])
-
-    wout = np.zeros(n_nodes)
-    for row in idx_edges.map_batches(sparse_wout,
-                                     batch_format="pyarrow").take_all():
-        wout[row["i"]] += row["c"]
-    safe_out = np.where(wout > 0, wout, 1.0)
-    dangling_mask = wout == 0
-
-    rank = r_vec.copy()
-    for _ in range(iters):
-        dangling = float(rank[dangling_mask].sum())
-        w_ref = ray.put(rank / safe_out)
-
-        def contrib_fn(t: pa.Table, _ref=w_ref) -> pa.Table:
-            wv = ray.get(_ref)
-            u, inv = np.unique(t.column("dst_idx").to_numpy(),
-                               return_inverse=True)
-            c = np.bincount(
-                inv, weights=wv[t.column("src_idx").to_numpy()]
-                * t.column("w").to_numpy())
-            return pa.Table.from_arrays(
-                [pa.array(u, pa.int64()), pa.array(c, pa.float64())],
-                names=["i", "c"])
-
-        contrib = np.zeros(n_nodes)
-        for row in idx_edges.map_batches(contrib_fn,
-                                         batch_format="pyarrow").take_all():
-            contrib[row["i"]] += row["c"]
-        rank = (1.0 - damping) * r_vec \
-            + damping * (contrib + dangling * r_vec)
-    import ray.data as rd
-
-    return rd.from_arrow(pa.Table.from_arrays(
-        [pa.array(node_arr, pa.string()), pa.array(rank, pa.float64())],
-        names=["node", "rank"]))
+    check_present(present)
+    return _ppr_join(edges, nodes, want, weighted=bool(weight),
+                     damping=damping, iters=iters)
 
 
 def _ppr_join(edges, nodes, seeds: list[str], *, weighted: bool,
               damping: float, iters: int):
-    """All-Dataset PPR join path (graphs beyond the broadcast bounds).
+    """All-Dataset PPR join path (graphs beyond ``LOCAL_MAX_BYTES``).
 
     The ``pagerank`` join-path shape with a ``seed`` column riding the
     rank table: per round, ONE lookup join attaches ranks to edges, ONE
@@ -917,7 +675,7 @@ def _ppr_join(edges, nodes, seeds: list[str], *, weighted: bool,
 
         rank'(v) = ((1-d) + d*dangling) * seed(v) + d * contrib(v)
 
-    which is algebraically the broadcast path's
+    which is algebraically the local tier's
     (1-d)*r + d*(contrib + dangling*r).  No driver-side graph state; the
     only O(1) driver values are the scalar dangling mass per round."""
     import numpy as np

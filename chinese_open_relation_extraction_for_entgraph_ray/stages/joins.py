@@ -175,29 +175,29 @@ BROADCAST_LOOKUP_THRESHOLD = 2_000_000
 
 
 def lookup_join(left_ds, right_ds, *, left_key: str, right_key: str,
-                payload: list[str], suffix: str = "_r", how: str = "inner",
-                broadcast_threshold: int = BROADCAST_LOOKUP_THRESHOLD):
+                payload: list[str], suffix: str = "_r", how: str = "inner"):
     """Attach the (unique-keyed) right side's ``payload`` columns to every
     left row by key equality — the distributed replacement for collecting a
     lookup dict to the driver.  ``how``: 'inner' drops unmatched left rows,
     'left' keeps them with null payload.
 
     When the right side is already MATERIALIZED and small
-    (<= ``broadcast_threshold`` rows), the (key, payload) table is
+    (<= ``BROADCAST_LOOKUP_THRESHOLD`` rows), the (key, payload) table is
     broadcast once via ``ray.put`` and the join is ONE polars hash merge
     per left batch — one pass over the left side, no exchange (the same
     auto-detection contract as :func:`semi_join`: only a materialized
     right side is detected, because its count is O(1) block metadata;
-    ``.materialize()`` the right side to opt in, pass
-    ``broadcast_threshold=0`` to force the sort).  Semantics are identical
+    ``.materialize()`` the right side to opt in; the threshold is read at
+    call time, so setting it to 0 forces the sort).  Semantics are identical
     on both paths (pinned by tests/test_joins_dedup.py): duplicate right
     keys multiply left rows exactly as in SQL, null keys never match, and
     the polars merge keeps null-bearing int64 payloads exact above 2^53.
     """
     from ray.data.dataset import MaterializedDataset
 
-    if (broadcast_threshold and isinstance(right_ds, MaterializedDataset)
-            and right_ds.count() <= broadcast_threshold):
+    if (BROADCAST_LOOKUP_THRESHOLD
+            and isinstance(right_ds, MaterializedDataset)
+            and right_ds.count() <= BROADCAST_LOOKUP_THRESHOLD):
         import polars as pl
         import pyarrow.compute as pc
         import ray
@@ -267,15 +267,14 @@ BROADCAST_KEYS_THRESHOLD = 10_000_000
 
 
 def semi_join(left_ds, right_ds, *, left_key: str, right_key: str,
-              anti: bool = False, left_key_nullable: bool = True,
-              broadcast_threshold: int = BROADCAST_KEYS_THRESHOLD):
+              anti: bool = False, left_key_nullable: bool = True):
     """Keep left rows whose key does (semi) / does not (anti) appear in the
     right side — the distributed replacement for take_all() + is_in.
     ``left_key_nullable=False`` skips the anti mode's null-key second scan
     when the caller guarantees a non-null key (e.g. a computed hash).
 
     When the right side is already MATERIALIZED and small
-    (<= ``broadcast_threshold`` rows, e.g. a verified near-dup drop set),
+    (<= ``BROADCAST_KEYS_THRESHOLD`` rows, e.g. a verified near-dup drop set),
     its distinct keys are broadcast once via ``ray.put`` and membership is
     a vectorized sorted-array search inside ``map_batches`` — ONE pass
     over the left side, no exchange at all.  Only a materialized right
@@ -283,12 +282,13 @@ def semi_join(left_ds, right_ds, *, left_key: str, right_key: str,
     lazy right would cost a full extra execution) — ``.materialize()`` the
     right side to opt in.  SQL null semantics are preserved on both
     paths: a null left key is in no set (dropped by semi, kept by anti);
-    null right keys match nothing.  Pass ``broadcast_threshold=0`` to
-    force the sorted-block exchange."""
+    null right keys match nothing.  The threshold is read at call time;
+    setting it to 0 forces the sorted-block exchange."""
     from ray.data.dataset import MaterializedDataset
 
-    if (broadcast_threshold and isinstance(right_ds, MaterializedDataset)
-            and right_ds.count() <= broadcast_threshold):
+    if (BROADCAST_KEYS_THRESHOLD
+            and isinstance(right_ds, MaterializedDataset)
+            and right_ds.count() <= BROADCAST_KEYS_THRESHOLD):
         import numpy as np
         import pyarrow.compute as pc
         import ray

@@ -2,6 +2,8 @@
 
 import pytest
 
+from chinese_open_relation_extraction_for_entgraph_ray.stages import cluster
+
 
 def _union_find(pairs):
     parent: dict = {}
@@ -31,25 +33,27 @@ CASES = [
 
 
 @pytest.mark.parametrize("pairs", CASES)
-@pytest.mark.parametrize("local_threshold", [0, 10 ** 6],
+@pytest.mark.parametrize("local_cc_threshold", [0, 10 ** 6],
                          ids=["distributed", "local"])
 def test_connected_components_match_union_find(ray_session, pairs,
-                                               local_threshold):
+                                               monkeypatch,
+                                               local_cc_threshold):
     import ray.data as rd
 
     from chinese_open_relation_extraction_for_entgraph_ray.stages.cluster import (
         connected_components,
     )
 
+    monkeypatch.setattr(cluster, "LOCAL_CC_THRESHOLD", local_cc_threshold)
     ds = rd.from_items([{"a": a, "b": b} for a, b in pairs]).repartition(3)
     got = {r["node"]: r["component"]
-           for r in connected_components(
-               ds, local_threshold=local_threshold).take_all()}
+           for r in connected_components(ds).take_all()}
     want = _union_find(pairs)
     assert got == want
 
 
-def test_connected_components_local_vs_distributed_random(ray_session):
+def test_connected_components_local_vs_distributed_random(ray_session,
+                                                          monkeypatch):
     """A/B: the local union-find fast path and the distributed rounds give
     identical components on a random graph with chains and cliques."""
     import numpy as np
@@ -65,16 +69,17 @@ def test_connected_components_local_vs_distributed_random(ray_session):
     ds = rd.from_items([{"a": a, "b": b} for a, b in pairs]).repartition(4)
     local = {r["node"]: r["component"]
              for r in connected_components(ds).take_all()}
+    monkeypatch.setattr(cluster, "LOCAL_CC_THRESHOLD", 0)
     dist = {r["node"]: r["component"]
-            for r in connected_components(
-                ds, local_threshold=0).take_all()}
+            for r in connected_components(ds).take_all()}
     assert local == dist == _union_find(pairs)
 
 
-@pytest.mark.parametrize("local_threshold", [0, 10 ** 6],
+@pytest.mark.parametrize("local_cc_threshold", [0, 10 ** 6],
                          ids=["distributed", "local"])
 def test_connected_components_str_matches_union_find(ray_session,
-                                                     local_threshold):
+                                                     monkeypatch,
+                                                     local_cc_threshold):
     """String-keyed CC: hash-int rounds inside, min-STRING representative
     outside — parity with a string union-find on chains/stars/dups."""
     import ray.data as rd
@@ -86,10 +91,10 @@ def test_connected_components_str_matches_union_find(ray_session,
     pairs = ([("p.a", "p.b"), ("p.b", "p.c"), ("p.c", "p.d")]
              + [("hub", f"leaf{i}") for i in range(5)]
              + [("x", "y"), ("y", "x"), ("lone1", "lone2")])
+    monkeypatch.setattr(cluster, "LOCAL_CC_THRESHOLD", local_cc_threshold)
     ds = rd.from_items([{"a": a, "b": b} for a, b in pairs]).repartition(3)
     got = {r["node"]: r["component"]
-           for r in connected_components_str(
-               ds, local_threshold=local_threshold).take_all()}
+           for r in connected_components_str(ds).take_all()}
     assert got == _union_find(pairs)
 
 

@@ -3,6 +3,40 @@
 import numpy as np
 import pytest
 
+import chinese_open_relation_extraction_for_entgraph_ray.stages.graph as graph_mod
+import chinese_open_relation_extraction_for_entgraph_ray.stages.joins as joins_mod
+
+
+@pytest.fixture
+def tiers(monkeypatch):
+    """Spy on the two link-analysis tiers: each ``_local_graph`` call
+    appends "local" (it pulled the graph) or "join" (over
+    ``LOCAL_MAX_BYTES``), each ``lookup_join`` call "lookup_join"."""
+    seen: list = []
+    real_local, real_lookup = graph_mod._local_graph, joins_mod.lookup_join
+
+    def local(*args, **kwargs):
+        out = real_local(*args, **kwargs)
+        seen.append("join" if out is None else "local")
+        return out
+
+    def lookup(*args, **kwargs):
+        seen.append("lookup_join")
+        return real_lookup(*args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "_local_graph", local)
+    monkeypatch.setattr(joins_mod, "lookup_join", lookup)
+    return seen
+
+
+def _tier(seen: list) -> str:
+    """The tier one operator call ran, read (and cleared) from the spy."""
+    ran = "local" if seen == ["local"] else (
+        "join" if seen[:1] == ["join"] and "lookup_join" in seen
+        else list(seen))
+    seen.clear()
+    return ran
+
 
 def _reference_pagerank(edges, damping=0.85, iters=50):
     nodes = sorted({u for u, _ in edges} | {v for _, v in edges})
@@ -26,26 +60,26 @@ def _reference_pagerank(edges, damping=0.85, iters=50):
     [("a", "b"), ("c", "b"), ("d", "b"), ("b", "e"), ("e", "f"),
      ("f", "a"), ("g", "b"), ("b", "h")],
 ])
-# broadcast_max_nodes=0 forces the join path; default takes the
-# small-graph broadcast fast path — both must match the reference exactly
-@pytest.mark.parametrize("broadcast_max_nodes", [0, 200_000])
-def test_pagerank_matches_power_iteration(ray_session, edges,
-                                          broadcast_max_nodes):
+# a 0-byte bound forces the join path; a 200 kB one takes the local tier
+# — both must match the reference exactly
+@pytest.mark.parametrize("local_max_bytes", [0, 200_000])
+def test_pagerank_matches_power_iteration(ray_session, edges, tiers,
+                                          monkeypatch, local_max_bytes):
     import ray.data as rd
 
     from chinese_open_relation_extraction_for_entgraph_ray.stages.graph import (
         pagerank,
     )
 
+    monkeypatch.setattr(graph_mod, "LOCAL_MAX_BYTES", local_max_bytes)
     ds = rd.from_items([{"src": u, "dst": v} for u, v in edges]).repartition(3)
     # fixed iteration count on both sides: the distributed rounds and the
     # reference compute the identical recurrence, so 3 rounds must agree to
     # float precision (full convergence would need ~40 rounds x ~10 s of
     # fixed per-round Ray op latency in this sandbox — not a test's job)
     got = {r["node"]: r["rank"]
-           for r in pagerank(ds, iters=3, tol=None,
-                             broadcast_max_nodes=broadcast_max_nodes)
-           .take_all()}
+           for r in pagerank(ds, iters=3, tol=None).take_all()}
+    assert _tier(tiers) == ("local" if local_max_bytes else "join")
     want = _reference_pagerank(edges, iters=3)
     assert set(got) == set(want)
     for k in want:
@@ -85,7 +119,8 @@ def test_k_core_cascade_and_empty(ray_session):
     assert len(empty) == 0
 
 
-def test_label_propagation_majority_ties_and_seeds(ray_session):
+def test_label_propagation_majority_ties_and_seeds(ray_session, tiers,
+                                                   monkeypatch):
     """label_propagation must spread by per-round majority with
     (count desc, label asc) tie-break, never relabel a seed, leave
     unreached nodes absent, and be invariant to block structure."""
@@ -108,13 +143,15 @@ def test_label_propagation_majority_ties_and_seeds(ray_session):
     seeds = pd.DataFrame({"node": ["s7a", "s7b", "s2a", "s2b"],
                           "label": [7, 7, 2, 2]})
 
-    # both dispatch paths (broadcast fast path + all-Dataset join path)
-    # and both block structures must agree exactly
-    for parts, kwargs in ((1, {}), (3, {}),
-                          (3, {"broadcast_max_nodes": 0})):
+    # both tiers (local + all-Dataset join path) and both block
+    # structures must agree exactly
+    for parts, bound in ((1, None), (3, None), (3, 0)):
+        if bound is not None:
+            monkeypatch.setattr(graph_mod, "LOCAL_MAX_BYTES", bound)
         got = label_propagation(
             ray.data.from_pandas(edges).repartition(parts),
-            ray.data.from_pandas(seeds), rounds=4, **kwargs).to_pandas()
+            ray.data.from_pandas(seeds), rounds=4).to_pandas()
+        assert _tier(tiers) == ("local" if bound is None else "join")
         got = got.set_index("node")
         assert int(got.loc["m", "label"]) == 2          # 2-2 tie -> min
         assert bool(got.loc["m", "is_seed"]) is False
@@ -125,7 +162,8 @@ def test_label_propagation_majority_ties_and_seeds(ray_session):
         assert len(got) == 7
 
 
-def test_hits_vs_numpy_reference_both_paths(ray_session):
+def test_hits_vs_numpy_reference_both_paths(ray_session, tiers,
+                                            monkeypatch):
     """Both HITS dispatch paths must match a numpy reference of the same
     L1-normalized update rule, with pure hubs (sources) at authority 0
     and pure authorities (sinks) at hub 0."""
@@ -158,21 +196,14 @@ def test_hits_vs_numpy_reference_both_paths(ray_session):
             h[idx[s]] += a[idx[d]]
         h = h / h.sum()
 
-    import chinese_open_relation_extraction_for_entgraph_ray.stages.graph as graph_mod
-
     ds = ray.data.from_pandas(edges).repartition(3)
-    # three dispatch tiers: driver-local bincount (default here), streaming
-    # broadcast half-rounds (driver-edge bound forced to 0), all-Dataset join
-    for kwargs, driver_edges in (({}, None), ({}, 0),
-                                 ({"broadcast_max_nodes": 0}, None)):
-        orig = graph_mod.HITS_DRIVER_EDGES
-        if driver_edges is not None:
-            graph_mod.HITS_DRIVER_EDGES = driver_edges
-        try:
-            got = (hits(ds, iters=4, **kwargs).to_pandas()
-                   .set_index("node").loc[nodes])
-        finally:
-            graph_mod.HITS_DRIVER_EDGES = orig
+    # two tiers: local bincount (default here), all-Dataset join
+    for tier in ("local", "join"):
+        if tier == "join":
+            monkeypatch.setattr(graph_mod, "LOCAL_MAX_BYTES", 0)
+        got = (hits(ds, iters=4).to_pandas()
+               .set_index("node").loc[nodes])
+        assert _tier(tiers) == tier
         np.testing.assert_allclose(got.hub.to_numpy(), h, atol=1e-12)
         np.testing.assert_allclose(got.authority.to_numpy(), a,
                                    atol=1e-12)
@@ -230,9 +261,10 @@ def test_personalized_pagerank_localization_and_weights(ray_session):
         personalized_pagerank(empty, ["s"])
 
 
-def test_personalized_pagerank_join_path_parity(ray_session):
-    """The over-bound all-Dataset join path must match the broadcast fast
-    path to float precision (same recurrence, float64 throughout), on a
+def test_personalized_pagerank_join_path_parity(ray_session, tiers,
+                                                monkeypatch):
+    """The over-bound all-Dataset join path must match the local tier to
+    float precision (same recurrence, float64 throughout), on a
     weighted multi-seed graph with a dangling node, across block
     structures (VERDICT r4 #2)."""
     import numpy as np
@@ -248,26 +280,102 @@ def test_personalized_pagerank_join_path_parity(ray_session):
          ("b", "c", 3.0), ("c", "b", 1.0), ("c", "d", 1.0),
          ("a", "d", 0.5), ("e", "a", 1.0)],   # d is dangling
         columns=["src", "dst", "w"])
+    def ppr(ds, seeds, bound, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(graph_mod, "LOCAL_MAX_BYTES", bound)
+            out = personalized_pagerank(ds, seeds, **kwargs).to_pandas()
+        assert _tier(tiers) == ("local" if bound else "join")
+        return out.set_index("node")["rank"].sort_index()
+
     for parts in (1, 3):
         ds = ray.data.from_pandas(edges).repartition(parts)
-        fast = personalized_pagerank(ds, ["s", "e"], weight="w", iters=4) \
-            .to_pandas().set_index("node")["rank"].sort_index()
-        join = personalized_pagerank(ds, ["s", "e"], weight="w", iters=4,
-                                     broadcast_max_nodes=0) \
-            .to_pandas().set_index("node")["rank"].sort_index()
+        fast = ppr(ds, ["s", "e"], graph_mod.LOCAL_MAX_BYTES, weight="w",
+                   iters=4)
+        join = ppr(ds, ["s", "e"], 0, weight="w", iters=4)
         assert list(fast.index) == list(join.index)
         np.testing.assert_allclose(join.to_numpy(), fast.to_numpy(),
                                    atol=1e-12)
         assert abs(join.sum() - 1.0) < 1e-9
     # unweighted parity too (w=None exercises the ones() path)
     ds = ray.data.from_pandas(edges[["src", "dst"]]).repartition(2)
-    fast = personalized_pagerank(ds, ["s"], iters=3) \
-        .to_pandas().set_index("node")["rank"].sort_index()
-    join = personalized_pagerank(ds, ["s"], iters=3,
-                                 broadcast_max_nodes=0) \
-        .to_pandas().set_index("node")["rank"].sort_index()
+    fast = ppr(ds, ["s"], graph_mod.LOCAL_MAX_BYTES, iters=3)
+    join = ppr(ds, ["s"], 0, iters=3)
     np.testing.assert_allclose(join.to_numpy(), fast.to_numpy(),
                                atol=1e-12)
+
+
+def test_local_tier_bit_identical_across_block_layouts(ray_session, tiers):
+    """The local tier sums in one fixed (edge) order, so each operator's
+    output on 1 block and on 7 blocks of the same edges is bit-identical
+    — equality, not a tolerance."""
+    import pandas as pd
+    import ray.data
+
+    rng = np.random.RandomState(3)
+    pairs = sorted({(f"n{rng.randint(60)}", f"n{rng.randint(60)}")
+                    for _ in range(300)})
+    edges = pd.DataFrame(pairs, columns=["src", "dst"])
+    edges["w"] = rng.uniform(0.1, 2.0, len(edges))
+    und = edges.query("src < dst").rename(columns={"src": "a", "dst": "b"})
+    seeds = pd.DataFrame({"node": ["n1", "n7", "n30"], "label": [0, 1, 1]})
+
+    runs = {
+        "pagerank": lambda e, u: graph_mod.pagerank(e, iters=6, tol=None),
+        "ppr": lambda e, u: graph_mod.personalized_pagerank(
+            e, ["n1", "n2"], weight="w", iters=6),
+        "label_propagation": lambda e, u: graph_mod.label_propagation(
+            u, ray.data.from_pandas(seeds), rounds=3),
+        "hits": lambda e, u: graph_mod.hits(e, iters=4),
+    }
+    for name, run in runs.items():
+        got = []
+        for parts in (1, 7):
+            got.append(run(ray.data.from_pandas(edges).repartition(parts),
+                           ray.data.from_pandas(und).repartition(parts))
+                       .to_pandas().to_dict("list"))
+            assert _tier(tiers) == "local", name
+        assert got[0] == got[1], name
+
+
+def test_empty_graph_schemas(ray_session, tiers):
+    """The local tier keeps each operator's schema on an empty edge list,
+    and label propagation still returns its (isolated) seeds."""
+    import pandas as pd
+    import ray.data
+
+    empty = pd.DataFrame({"src": pd.Series([], dtype=str),
+                          "dst": pd.Series([], dtype=str)})
+    for op, cols in ((graph_mod.pagerank, ["node", "rank"]),
+                     (graph_mod.hits, ["node", "hub", "authority"])):
+        out = op(ray.data.from_pandas(empty))
+        assert out.count() == 0 and out.schema().names == cols
+    lp = graph_mod.label_propagation(
+        ray.data.from_pandas(empty.rename(columns={"src": "a",
+                                                   "dst": "b"})),
+        ray.data.from_pandas(pd.DataFrame({"node": ["s"], "label": [3]})))
+    assert lp.to_pandas().to_dict("list") == {
+        "node": ["s"], "label": [3], "is_seed": [True]}
+    assert tiers == ["local"] * 3
+
+
+def test_long_node_ids_take_the_join_path(ray_session, tiers, monkeypatch):
+    """The local tier is bounded in bytes, not rows: four edges whose node
+    ids are 4,000 characters long exceed a 16 kB bound and take the join
+    path, which matches the local tier's ranks."""
+    import pandas as pd
+    import ray.data
+
+    ids = [c * 4_000 for c in "abcd"]
+    edges = pd.DataFrame({"src": ids, "dst": ids[1:] + ids[:1]})
+    ds = ray.data.from_pandas(edges).materialize()
+    local = graph_mod.pagerank(ds, iters=3, tol=None).to_pandas()
+    assert _tier(tiers) == "local"
+    monkeypatch.setattr(graph_mod, "LOCAL_MAX_BYTES", 16_000)
+    join = graph_mod.pagerank(ds, iters=3, tol=None).to_pandas()
+    assert _tier(tiers) == "join"
+    np.testing.assert_allclose(
+        join.set_index("node")["rank"].loc[ids].to_numpy(),
+        local.set_index("node")["rank"].loc[ids].to_numpy(), atol=1e-15)
 
 
 def test_bfs_distances_layers_and_early_exit(ray_session):

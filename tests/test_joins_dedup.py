@@ -7,6 +7,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from chinese_open_relation_extraction_for_entgraph_ray.stages import joins
 from chinese_open_relation_extraction_for_entgraph_ray.stages.joins import (
     lookup_join,
     semi_join,
@@ -429,7 +430,7 @@ def test_similar_pairs_exact_random_corpora(ray_session, seed):
     assert got == want
 
 
-def test_joins_preserve_full_range_int64(ray_session):
+def test_joins_preserve_full_range_int64(ray_session, monkeypatch):
     """Keys AND payloads above 2^53 must survive every join mode exactly.
 
     Regression: the block-join pass used pandas batches; the tagged union
@@ -466,8 +467,8 @@ def test_joins_preserve_full_range_int64(ray_session):
     assert len(matched) == 2 * len(keys)
     assert all(want[r["k"]] == r["v_r"] for r in matched)
 
-    semi = semi_join(left, right, left_key="k", right_key="k",
-                     broadcast_threshold=0).to_pandas()
+    monkeypatch.setattr(joins, "BROADCAST_KEYS_THRESHOLD", 0)
+    semi = semi_join(left, right, left_key="k", right_key="k").to_pandas()
     assert sorted(semi["k"]) == sorted(np.concatenate([keys, keys]).tolist())
 
     from chinese_open_relation_extraction_for_entgraph_ray.stages.joins import (
@@ -496,7 +497,7 @@ def test_joins_preserve_full_range_int64(ray_session):
     assert all(want[r["k"]] == r["b"] for r in both)
 
 
-def test_lookup_join_broadcast_parity(ray_session):
+def test_lookup_join_broadcast_parity(ray_session, monkeypatch):
     """Broadcast fast path == sorted-block path, pinned on the tricky
     semantics: duplicate right keys multiply rows (SQL), null keys never
     match either side, int64 payloads above 2^53 survive exactly."""
@@ -526,9 +527,11 @@ def test_lookup_join_broadcast_parity(ray_session):
                              for c in ("lid", "k", "v_r")]))
 
     for how in ("inner", "left"):
-        by_sort = canon(lookup_join(
-            left, rd.from_arrow(right_tbl), left_key="k", right_key="rk",
-            payload=["v"], how=how, broadcast_threshold=0))
+        with monkeypatch.context() as mp:
+            mp.setattr(joins, "BROADCAST_LOOKUP_THRESHOLD", 0)
+            by_sort = canon(lookup_join(
+                left, rd.from_arrow(right_tbl), left_key="k",
+                right_key="rk", payload=["v"], how=how))
         by_bcast = canon(lookup_join(
             left, rd.from_arrow(right_tbl).materialize(), left_key="k",
             right_key="rk", payload=["v"], how=how))

@@ -108,15 +108,18 @@ def _run(op: str, one: bool):
             return spans.duplicate_spans(docs, window=12)
     if op.startswith(("lookup", "semi", "outer")):
         left, right = (_layouts(t)[pick] for t in _join_sides())
-        if op in ("lookup_inner", "lookup_left"):
-            return joins.lookup_join(
-                left, right, left_key="k", right_key="rk",
-                payload=["name"], how=op.split("_")[1],
-                broadcast_threshold=0)
-        if op in ("semi_semi", "semi_anti"):
-            return joins.semi_join(left, right, left_key="k",
-                                   right_key="rk", anti=op == "semi_anti",
-                                   broadcast_threshold=0)
+        with pytest.MonkeyPatch.context() as mp:
+            # the sorted-block exchange, not the broadcast of a small side
+            mp.setattr(joins, "BROADCAST_LOOKUP_THRESHOLD", 0)
+            mp.setattr(joins, "BROADCAST_KEYS_THRESHOLD", 0)
+            if op in ("lookup_inner", "lookup_left"):
+                return joins.lookup_join(
+                    left, right, left_key="k", right_key="rk",
+                    payload=["name"], how=op.split("_")[1])
+            if op in ("semi_semi", "semi_anti"):
+                return joins.semi_join(left, right, left_key="k",
+                                       right_key="rk",
+                                       anti=op == "semi_anti")
         return joins.outer_join(left, right, left_key="k", right_key="rk",
                                 left_payload=["x"], right_payload=["name"])
     if op in ("minhash", "simhash", "shingle"):

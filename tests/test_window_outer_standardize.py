@@ -153,7 +153,11 @@ def test_char_entropy_empty_docs_emit_no_row(ray_session):
 # --- semi_join broadcast path ------------------------------------------------
 
 @pytest.mark.parametrize("anti", [False, True])
-def test_semi_join_broadcast_matches_sort_path(ray_session, anti):
+def test_semi_join_broadcast_matches_sort_path(ray_session, anti,
+                                               monkeypatch):
+    from chinese_open_relation_extraction_for_entgraph_ray.stages import (
+        joins,
+    )
     from chinese_open_relation_extraction_for_entgraph_ray.stages.joins import (
         semi_join,
     )
@@ -166,8 +170,9 @@ def test_semi_join_broadcast_matches_sort_path(ray_session, anti):
     lds, rds = _ds(left), _ds(right)
     bc = semi_join(lds, rds.materialize(), left_key="k", right_key="rk",
                    anti=anti).to_pandas()
-    srt = semi_join(lds, rds, left_key="k", right_key="rk", anti=anti,
-                    broadcast_threshold=0).to_pandas()
+    monkeypatch.setattr(joins, "BROADCAST_KEYS_THRESHOLD", 0)
+    srt = semi_join(lds, rds, left_key="k", right_key="rk",
+                    anti=anti).to_pandas()
     assert sorted(bc["x"]) == sorted(srt["x"])
 
 
